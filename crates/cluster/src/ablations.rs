@@ -642,13 +642,58 @@ pub fn ablation_cooperative_residency(grid: &Grid) -> FigureData {
     fig
 }
 
-/// All three cooperative-caching figures (the `--fig cooperative` bundle).
+/// Tentpole ablation, part (d): the end-to-end number. Mean instance
+/// makespan of local-only caching against the cooperative tier in both
+/// directory modes, across sharing degrees — one figure per request size
+/// of the grid. A better aggregate hit ratio is no win if the directory
+/// conversation costs more time than the remote hits save; at `s = 0`,
+/// where nothing is shareable, the tier must cost (next to) nothing.
+pub fn ablation_cooperative_makespan(grid: &Grid) -> Vec<FigureData> {
+    let sharings = [0.0, 0.5, 1.0];
+    let variants = [
+        CacheConfig::paper(),
+        coop_cache(DirectoryMode::Authoritative, true),
+        coop_cache(DirectoryMode::Hint, true),
+    ];
+    let mut configs = Vec::new();
+    for &d in &grid.d_values {
+        for &s in &sharings {
+            for cfg in &variants {
+                configs.push((Some(cfg.clone()), coop_apps(grid, d, s), None));
+            }
+        }
+    }
+    let vals = makespans(grid, configs);
+    let n = variants.len();
+    grid.d_values
+        .iter()
+        .enumerate()
+        .map(|(i, &d)| {
+            let mut fig = FigureData::new(
+                format!("ablation_cooperative_makespan_d{}k", d >> 10),
+                format!("cooperative vs local-only makespan (two read instances, d={d}, zipf 0.9)"),
+                "sharing degree s (%)",
+                "mean instance makespan (s)",
+                vec!["local-only".into(), "coop authoritative".into(), "coop hint".into()],
+            );
+            for (j, &s) in sharings.iter().enumerate() {
+                let row = (i * sharings.len() + j) * n;
+                fig.push(s * 100.0, vals[row..row + n].to_vec());
+            }
+            fig
+        })
+        .collect()
+}
+
+/// Every cooperative-caching figure (the `--fig cooperative` bundle).
 pub fn ablation_cooperative(grid: &Grid) -> Vec<FigureData> {
-    vec![
+    let mut figs = vec![
         ablation_cooperative_hit_ratio(grid),
         ablation_cooperative_latency(grid),
         ablation_cooperative_residency(grid),
-    ]
+    ];
+    figs.extend(ablation_cooperative_makespan(grid));
+    figs
 }
 
 /// The full-grid policy-comparison study: every policy across **capacity ×
@@ -855,6 +900,31 @@ mod tests {
             singleton[0],
             naive[0]
         );
+    }
+
+    /// Acceptance part (e): with nothing to share (`s = 0`) the
+    /// cooperative tier may not slow the run down — makespan within 2 %
+    /// of local-only caching, in both directory modes, at every request
+    /// size. Misses whose blocks no peer summary lists skip the
+    /// directory, so only summary and delta traffic remain.
+    #[test]
+    fn cooperative_costs_nothing_when_nothing_is_shared() {
+        let grid = Grid::smoke();
+        let figs = ablation_cooperative_makespan(&grid);
+        assert_eq!(figs.len(), grid.d_values.len());
+        for fig in &figs {
+            let s0 = fig.rows.iter().position(|r| r.x == 0.0).expect("s = 0 row");
+            let local = fig.column("local-only").unwrap()[s0];
+            assert!(local > 0.0, "{}: no makespan measured", fig.id);
+            for mode in ["coop authoritative", "coop hint"] {
+                let coop = fig.column(mode).unwrap()[s0];
+                assert!(
+                    coop <= local * 1.02,
+                    "{}: {mode} makespan {coop:.3}s exceeds local-only {local:.3}s by more than 2%",
+                    fig.id
+                );
+            }
+        }
     }
 
     /// Acceptance part (d): the experiment JSON carries the

@@ -13,8 +13,8 @@ use sim_disk::{DiskGeometry, DiskSched};
 use sim_net::{Fabric, NetConfig, NodeId, NodeNet, Port};
 use workload::{partition_of, AppProcess, AppSpec, Coordinator, Kickoff, ProcPlan};
 
-/// How many directory-update generations a hint-mode sharer entry stays
-/// believable before the mgr ages it out. Sized to a few times the
+/// How many directory generations (block additions) a hint-mode sharer
+/// entry stays believable before the mgr ages it out. Sized to a few times the
 /// paper-configuration cache (300 blocks/node × 6 nodes): long enough
 /// that live residents are always re-confirmed by ongoing fill traffic,
 /// short enough that the directory tracks cache capacity, not history.
@@ -170,8 +170,8 @@ pub fn build(spec: &ClusterSpec, apps: &[AppSpec]) -> Cluster {
     if let Some(cache_cfg) = &spec.cache {
         // A hint-mode directory receives no eviction removals; arm the
         // mgr's generation aging so it cannot accrete every block ever
-        // cached. One generation == one directory update, so the window
-        // scales with directory traffic, not wall time.
+        // cached. One generation == one block addition, so the window
+        // scales with directory traffic, not wall time or batching.
         if cache_cfg.cooperative.as_ref().map(|c| c.directory) == Some(kcache::DirectoryMode::Hint)
         {
             let mgr = eng.actor_as_mut::<Mgr>(mgr_id).expect("mgr downcast");
@@ -202,8 +202,13 @@ pub fn build(spec: &ClusterSpec, apps: &[AppSpec]) -> Cluster {
             // The block location directory lives with the mgr on node 0;
             // telling the module where it is arms the remote-hit tier
             // (a no-op unless the config enables cooperative caching).
+            // Its peers are the other cache nodes, which exchange
+            // residency summaries.
             if cache_cfg.cooperative.is_some() {
                 module.set_directory_home(NodeId(0));
+                module.set_peers(
+                    client_nodes.iter().filter(|&&p| p != node).map(|&p| NodeId(p)).collect(),
+                );
             }
             let m = eng.add_actor(Box::new(module));
             modules[node as usize] = Some(m);

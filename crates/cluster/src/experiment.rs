@@ -2,13 +2,72 @@
 
 use crate::builder::{build, Cluster, ClusterSpec};
 use kcache::obs::{ClusterObs, QuantileSnapshot};
-use kcache::{AdaptiveStats, CacheModule, CacheStats, ModuleStats, PolicyStats};
+use kcache::{
+    AdaptiveStats, CacheModule, CacheStats, GhostRate, ModuleStats, PolicyStats, QuotaMoveRecord,
+    SwitchRecord,
+};
 use pvfs::{Iod, IodStats, Mgr};
 use serde::Serialize;
 use sim_core::{Dur, SimTime, StopReason};
 use sim_net::{Fabric, FabricStats, TrafficClass};
 use std::collections::BTreeMap;
+use std::ops::Deref;
 use workload::{AppSpec, Coordinator};
+
+/// A record from one node's cache module. Derefs to the record, so its
+/// fields read as if unwrapped.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OnNode<T> {
+    pub node: u16,
+    pub record: T,
+}
+
+impl<T> Deref for OnNode<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.record
+    }
+}
+
+/// The adaptive meta-policy's ledgers over every cache module. Each
+/// module runs its own controller and epoch clock, so counts of
+/// decisions sum while `epochs` is the maximum over nodes (a sum would
+/// count one epoch boundary once per node), and every log entry keeps
+/// the node it came from.
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct ClusterAdaptiveStats {
+    /// Epoch ticks of the node that ticked most.
+    pub epochs: u64,
+    /// Live policy switches, summed over nodes.
+    pub switches: u64,
+    pub switch_log: Vec<OnNode<SwitchRecord>>,
+    /// Lifetime ghost ledgers merged by candidate kind (per-node
+    /// candidate lists may differ).
+    pub ghost_rates: Vec<GhostRate>,
+    /// Quota transfers, summed over nodes.
+    pub quota_moves: u64,
+    pub quota_log: Vec<OnNode<QuotaMoveRecord>>,
+}
+
+impl ClusterAdaptiveStats {
+    /// Fold in the ledger of the module on `node`.
+    pub(crate) fn add_node(&mut self, node: u16, s: &AdaptiveStats) {
+        self.epochs = self.epochs.max(s.epochs);
+        self.switches += s.switches;
+        self.switch_log.extend(s.switch_log.iter().map(|&record| OnNode { node, record }));
+        for g in &s.ghost_rates {
+            match self.ghost_rates.iter_mut().find(|m| m.kind == g.kind) {
+                Some(m) => {
+                    m.hits += g.hits;
+                    m.misses += g.misses;
+                }
+                None => self.ghost_rates.push(*g),
+            }
+        }
+        self.quota_moves += s.quota_moves;
+        self.quota_log.extend(s.quota_log.iter().map(|&record| OnNode { node, record }));
+    }
+}
 
 /// Aggregated outcome of one instance of the micro-benchmark.
 #[derive(Debug, Clone, Serialize)]
@@ -109,9 +168,9 @@ pub struct ExperimentResult {
     pub partitioning: Option<String>,
     /// The policy subsystem's own event ledger, summed over all modules.
     pub policy_stats: Option<PolicyStats>,
-    /// The adaptive meta-policy's ledger (epoch/switch/ghost/quota-move
-    /// counters merged over all modules; adaptive caching runs only).
-    pub adaptive: Option<AdaptiveStats>,
+    /// The adaptive meta-policy's ledger over all modules (adaptive
+    /// caching runs only).
+    pub adaptive: Option<ClusterAdaptiveStats>,
     /// Per-application occupancy and attributed traffic, summed over all
     /// modules (caching runs only; ascending by app id).
     pub app_usage: Option<Vec<AppCacheUsage>>,
@@ -272,7 +331,7 @@ pub fn run_experiment(spec: &ClusterSpec, apps: &[AppSpec]) -> ExperimentResult 
     let mut cache_total: Option<CacheStats> = None;
     let mut module_total: Option<ModuleStats> = None;
     let mut policy_total: Option<PolicyStats> = None;
-    let mut adaptive_total: Option<AdaptiveStats> = None;
+    let mut adaptive_total: Option<ClusterAdaptiveStats> = None;
     let mut app_total: BTreeMap<u32, AppCacheUsage> = BTreeMap::new();
     let mut shard_total: Option<Vec<ShardUsage>> = None;
     // End-of-run cluster-wide residency: how many caches hold each block.
@@ -283,7 +342,8 @@ pub fn run_experiment(spec: &ClusterSpec, apps: &[AppSpec]) -> ExperimentResult 
     // Per-tier fetch-latency sketches merged across modules: class name →
     // (merged snapshot, target, burned).
     let mut slo_acc: BTreeMap<String, (QuantileSnapshot, u64, u64)> = BTreeMap::new();
-    for m in cluster.modules.iter().flatten() {
+    for (node, m) in cluster.modules.iter().enumerate() {
+        let Some(m) = m else { continue };
         let module = cluster.engine.actor_as::<CacheModule>(*m).expect("module downcast");
         // Bring the hub's deferred hit/miss mirrors up to date before any
         // export reads them (no-op without telemetry).
@@ -310,7 +370,7 @@ pub fn run_experiment(spec: &ClusterSpec, apps: &[AppSpec]) -> ExperimentResult 
         let ms = module.stats().clone();
         policy_total.get_or_insert_with(PolicyStats::default).merge(&ps);
         if let Some(ast) = module.cache().adaptive_stats() {
-            adaptive_total.get_or_insert_with(AdaptiveStats::default).merge(&ast);
+            adaptive_total.get_or_insert_with(Default::default).add_node(node as u16, &ast);
         }
         for (id, u) in module.cache().app_usage() {
             // Effective (possibly tuner-adjusted) quota, not the static
@@ -363,7 +423,9 @@ pub fn run_experiment(spec: &ClusterSpec, apps: &[AppSpec]) -> ExperimentResult 
         macc.urgent_flush_blocks += ms.urgent_flush_blocks;
         macc.harvest_runs += ms.harvest_runs;
         macc.dir_queries += ms.dir_queries;
+        macc.dir_skipped += ms.dir_skipped;
         macc.dir_updates += ms.dir_updates;
+        macc.summary_refreshes += ms.summary_refreshes;
         macc.dir_located_blocks += ms.dir_located_blocks;
         macc.dir_unlocated_blocks += ms.dir_unlocated_blocks;
         macc.remote_hit_blocks += ms.remote_hit_blocks;
@@ -470,5 +532,53 @@ pub fn run_experiment(spec: &ClusterSpec, apps: &[AppSpec]) -> ExperimentResult 
         completed,
         obs,
         slo,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kcache::{AppId, PolicyKind};
+
+    fn node_stats(epochs: u64, switch_epoch: u64, move_epoch: u64) -> AdaptiveStats {
+        AdaptiveStats {
+            epochs,
+            switches: 1,
+            switch_log: vec![SwitchRecord {
+                epoch: switch_epoch,
+                from: PolicyKind::Clock,
+                to: PolicyKind::Lfu,
+                from_rate: 0.1,
+                to_rate: 0.2,
+            }],
+            ghost_rates: vec![GhostRate { kind: PolicyKind::Lfu, hits: 3, misses: 1 }],
+            quota_moves: 1,
+            quota_log: vec![QuotaMoveRecord {
+                epoch: move_epoch,
+                from: AppId(0),
+                to: AppId(1),
+                frames: 4,
+                from_refaults: 1,
+                to_refaults: 5,
+            }],
+        }
+    }
+
+    #[test]
+    fn cluster_adaptive_takes_max_epochs_and_tags_nodes() {
+        let mut c = ClusterAdaptiveStats::default();
+        c.add_node(1, &node_stats(40, 7, 8));
+        c.add_node(3, &node_stats(55, 9, 10));
+        assert_eq!(c.epochs, 55, "epochs is the busiest node's count, not the sum");
+        assert_eq!((c.switches, c.quota_moves), (2, 2));
+        assert_eq!(
+            c.switch_log.iter().map(|r| (r.node, r.epoch)).collect::<Vec<_>>(),
+            [(1, 7), (3, 9)]
+        );
+        assert_eq!(
+            c.quota_log.iter().map(|r| (r.node, r.epoch)).collect::<Vec<_>>(),
+            [(1, 8), (3, 10)]
+        );
+        assert_eq!(c.ghost_rates, vec![GhostRate { kind: PolicyKind::Lfu, hits: 6, misses: 2 }]);
     }
 }

@@ -1,8 +1,7 @@
 //! Figure data containers and rendering (markdown tables, CSV, JSON), plus
 //! the per-run cache-efficiency summary experiment runs emit.
 
-use crate::experiment::{AppCacheUsage, ExperimentResult};
-use kcache::AdaptiveStats;
+use crate::experiment::{AppCacheUsage, ClusterAdaptiveStats, ExperimentResult};
 use serde::Serialize;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -48,6 +47,8 @@ pub struct GhostRateReport {
 /// One policy switch in the JSON summary.
 #[derive(Debug, Clone, Serialize)]
 pub struct SwitchReport {
+    /// The node whose controller switched.
+    pub node: u16,
     pub epoch: u64,
     pub from: String,
     pub to: String,
@@ -59,6 +60,8 @@ pub struct SwitchReport {
 /// evidence (per-epoch ghost refault counts) the tuner acted on.
 #[derive(Debug, Clone, Serialize)]
 pub struct QuotaMoveReport {
+    /// The node whose tuner moved the quota.
+    pub node: u16,
     pub epoch: u64,
     pub from_app: u32,
     pub to_app: u32,
@@ -71,7 +74,8 @@ pub struct QuotaMoveReport {
 
 /// The adaptive meta-policy's slice of [`CacheEfficiency`]: epoch and
 /// switch counts, the per-epoch switch log, lifetime ghost hit rates per
-/// candidate, and the quota-tuner move log.
+/// candidate, and the quota-tuner move log. `epochs` is the maximum over
+/// nodes; log entries name their node.
 #[derive(Debug, Clone, Serialize)]
 pub struct AdaptiveReport {
     pub epochs: u64,
@@ -83,7 +87,7 @@ pub struct AdaptiveReport {
 }
 
 impl AdaptiveReport {
-    fn from_stats(s: &AdaptiveStats) -> AdaptiveReport {
+    fn from_stats(s: &ClusterAdaptiveStats) -> AdaptiveReport {
         AdaptiveReport {
             epochs: s.epochs,
             switches: s.switches,
@@ -102,6 +106,7 @@ impl AdaptiveReport {
                 .switch_log
                 .iter()
                 .map(|r| SwitchReport {
+                    node: r.node,
                     epoch: r.epoch,
                     from: r.from.name().to_string(),
                     to: r.to.name().to_string(),
@@ -113,6 +118,7 @@ impl AdaptiveReport {
                 .quota_log
                 .iter()
                 .map(|r| QuotaMoveReport {
+                    node: r.node,
                     epoch: r.epoch,
                     from_app: r.from.0,
                     to_app: r.to.0,
@@ -145,7 +151,13 @@ pub struct CooperativeReport {
     /// (hint-mode staleness; falls through to disk, never wrong data).
     pub remote_stale_blocks: u64,
     pub dir_queries: u64,
+    /// Misses that skipped the directory: no peer summary listed any of
+    /// their blocks.
+    pub dir_skipped: u64,
     pub dir_updates: u64,
+    /// Residency summaries broadcast (each also publishes a directory
+    /// delta).
+    pub summary_refreshes: u64,
     pub dir_located_blocks: u64,
     pub dir_unlocated_blocks: u64,
     pub peer_reqs_served: u64,
@@ -173,7 +185,9 @@ impl CooperativeReport {
             aggregate_hit_ratio: r.aggregate_hit_ratio().unwrap_or(0.0),
             remote_stale_blocks: m.remote_stale_blocks,
             dir_queries: m.dir_queries,
+            dir_skipped: m.dir_skipped,
             dir_updates: m.dir_updates,
+            summary_refreshes: m.summary_refreshes,
             dir_located_blocks: m.dir_located_blocks,
             dir_unlocated_blocks: m.dir_unlocated_blocks,
             peer_reqs_served: m.peer_reqs_served,

@@ -2379,8 +2379,9 @@ impl BufferManager {
         self.maybe_epoch();
     }
 
-    /// Look up `key` in the hash table (no data copy, no stats). Mostly
-    /// for tests and diagnostics.
+    /// Look up `key` in the hash table (no data copy, no stats). The
+    /// cooperative module uses it to settle directory deltas; otherwise
+    /// it serves tests and diagnostics.
     pub fn contains(&self, key: BlockKey) -> bool {
         self.shard_of(&key).contains(key)
     }

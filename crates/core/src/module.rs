@@ -31,14 +31,15 @@ use kcache_obs::{
 };
 use kcache_policy::AppId;
 use pvfs::{
-    BlockDirQuery, BlockDirReply, BlockDirUpdate, ByteRange, CostModel, Fid, FlushAck, FlushBlocks,
-    FlushEntry, Invalidate, InvalidateAck, PeerReadReply, PeerReadReq, ReadAck, ReadData, ReadReq,
-    WriteAck, WritePart, WriteReq, CACHE_PORT, IOD_FLUSH_PORT, IOD_PORT, MGR_PORT,
+    BlockDirQuery, BlockDirReply, BlockDirUpdate, ByteRange, CostModel, DirDelta, Fid, FlushAck,
+    FlushBlocks, FlushEntry, Invalidate, InvalidateAck, PeerReadReply, PeerReadReq, PeerSummary,
+    ReadAck, ReadData, ReadReq, ResidencySummary, WriteAck, WritePart, WriteReq, CACHE_PORT,
+    IOD_FLUSH_PORT, IOD_PORT, MGR_PORT,
 };
 use sim_core::{resource, Actor, ActorId, Ctx, Dur, Msg, SharedResource, SimTime};
 use sim_net::{Deliver, NetMessage, NodeId, Port, TrafficClass, Xmit};
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Module statistics (beyond the buffer manager's own counters).
@@ -69,8 +70,14 @@ pub struct ModuleStats {
     // --- cooperative remote-hit tier ---
     /// Directory queries sent on local misses.
     pub dir_queries: u64,
+    /// Local misses that went straight to the iod because no missing
+    /// block appeared in any peer's residency summary.
+    pub dir_skipped: u64,
     /// Residency-delta messages pushed to the directory.
     pub dir_updates: u64,
+    /// Residency summaries rebuilt (each one is broadcast to every peer
+    /// and publishes the pending directory delta).
+    pub summary_refreshes: u64,
     /// Missing blocks the directory located in a peer cache.
     pub dir_located_blocks: u64,
     /// Missing blocks the directory knew no sharer for (straight to disk).
@@ -146,6 +153,8 @@ struct ModuleObs {
     /// peer / knew no sharer (straight to disk).
     dir_located: Counter,
     dir_unlocated: Counter,
+    /// Misses no peer summary listed (no directory query sent).
+    dir_skipped: Counter,
     /// Peer-reported stale hints (re-fetched from the iod).
     stale_hints: Counter,
     /// Blocks served out of a peer cache.
@@ -178,6 +187,7 @@ impl ModuleObs {
         ModuleObs {
             dir_located: r.counter("coop.dir_located_blocks"),
             dir_unlocated: r.counter("coop.dir_unlocated_blocks"),
+            dir_skipped: r.counter("coop.dir_skipped"),
             stale_hints: r.counter("coop.stale_hint_blocks"),
             remote_hits: r.counter("coop.remote_hit_blocks"),
             fetch_ns_default: r.histogram("fetch.ns.default"),
@@ -249,6 +259,16 @@ pub struct CacheModule {
     /// `None` until the cluster builder wires it, which — together with
     /// `cfg.cooperative` — gates the whole remote-hit tier.
     mgr_node: Option<NodeId>,
+    /// The other cache nodes: recipients of this node's residency
+    /// summaries.
+    peers: Vec<NodeId>,
+    /// The latest residency summary received from each peer.
+    peer_summaries: BTreeMap<NodeId, Arc<ResidencySummary>>,
+    /// Blocks installed since the last directory publish: the pending
+    /// additions that ride along with the next delta.
+    dir_added: Vec<BlockKey>,
+    /// Blocks installed since the last summary refresh.
+    installs_since_summary: usize,
     /// In-flight cooperative conversations by directory-query id.
     coop_pending: HashMap<u64, CoopFetch>,
     coop_seq: u64,
@@ -295,6 +315,10 @@ impl CacheModule {
             block_waiters: HashMap::new(),
             inflight_flushes: HashMap::new(),
             mgr_node: None,
+            peers: Vec::new(),
+            peer_summaries: BTreeMap::new(),
+            dir_added: Vec::new(),
+            installs_since_summary: 0,
             coop_pending: HashMap::new(),
             coop_seq: 0,
             flush_seq: 1,
@@ -319,6 +343,13 @@ impl CacheModule {
     /// *and* the config carries a [`crate::config::CooperativeConfig`].
     pub fn set_directory_home(&mut self, mgr: NodeId) {
         self.mgr_node = Some(mgr);
+    }
+
+    /// Tell the module which other nodes run cache modules: it sends them
+    /// its residency summaries, and their summaries decide whether a
+    /// local miss is worth a directory query.
+    pub fn set_peers(&mut self, peers: Vec<NodeId>) {
+        self.peers = peers;
     }
 
     fn cooperative_active(&self) -> bool {
@@ -411,7 +442,7 @@ impl CacheModule {
         // Per (iod, fid) batch: the wire entry plus the cache coordinates
         // needed to mark the flush complete when the ack returns.
         type FlushBatch = Vec<(FlushEntry, BlockKey, Span)>;
-        let mut groups: HashMap<(NodeId, Fid), FlushBatch> = HashMap::new();
+        let mut groups: BTreeMap<(NodeId, Fid), FlushBatch> = BTreeMap::new();
         for it in items {
             groups.entry((it.home, it.key.fid)).or_default().push((
                 FlushEntry { blk: it.key.blk, offset: it.span.start, data: Bytes::from(it.data) },
@@ -596,58 +627,17 @@ impl CacheModule {
             return;
         }
         if self.cooperative_active() {
-            // Remote-hit tier: ask the directory who caches the missing
-            // blocks before going to disk. The iod request is deferred
-            // until the directory (and any queried peers) have answered,
-            // so the client still sees exactly one ack per request.
             let blocks: Vec<u64> =
                 fetch_ranges.iter().flat_map(|r| blocks_of_range(r.offset, r.len)).collect();
-            self.coop_seq += 1;
-            let qid = self.coop_seq;
-            // Mint the correlation id unconditionally (wire layout and
-            // determinism stay identical with tracing on or off); only
-            // the trace emission below is gated on obs.
-            let flow = FlowId::coop(self.node.0, qid);
-            let q = BlockDirQuery {
-                req_id: qid,
-                fid: rr.fid,
-                blocks: blocks.clone(),
-                reply_to: (self.node, CACHE_PORT),
-                flow,
-            };
-            self.coop_pending.insert(
-                qid,
-                CoopFetch {
-                    fid: rr.fid,
-                    home: iod_node,
-                    client_req: rr.req_id,
-                    reply_to: rr.reply_to,
-                    blocks,
-                    outstanding_peers: 0,
-                    to_disk: Vec::new(),
-                    flow,
-                },
-            );
-            t = self.charge(t, self.costs.send_overhead);
-            if let Some(o) = &self.obs {
-                // Flow start on the requester: the miss that opens the
-                // cross-node conversation. The matching end is emitted
-                // by finish_coop, which every conversation reaches.
-                o.hub.flow(o.ev_flow, Phase::FlowStart, t.nanos(), o.node, 1, flow);
+            if self.peer_may_hold(rr.fid, &blocks) {
+                return self.query_directory(ctx, t, &rr, iod_node, blocks);
             }
-            self.tag += 1;
-            let mgr = self.mgr_node.expect("cooperative_active checked mgr_node");
-            let m = NetMessage::new(
-                (self.node, CACHE_PORT),
-                (mgr, MGR_PORT),
-                q.wire_bytes(),
-                self.tag,
-                q,
-            )
-            .with_class(TrafficClass::Peer);
-            self.send_to_net(ctx, t, m);
-            self.stats.dir_queries += 1;
-            return;
+            // No peer listed any missing block in its last summary, so a
+            // directory query would buy nothing: take the local-only path.
+            self.stats.dir_skipped += 1;
+            if let Some(o) = &self.obs {
+                o.dir_skipped.inc();
+            }
         }
         let reduced = ReadReq {
             req_id: rr.req_id,
@@ -662,8 +652,61 @@ impl CacheModule {
         t = self.charge(t, self.costs.cache_call_overhead);
         net.wire_bytes = wire;
         net.payload = Box::new(reduced);
-        let _ = iod_node;
         self.send_to_net(ctx, t, net);
+    }
+
+    /// Remote-hit tier: ask the directory who caches the missing
+    /// `blocks` of `rr` before going to disk. The iod request is deferred
+    /// until the directory (and any queried peers) have answered, so the
+    /// client still sees exactly one ack per request.
+    fn query_directory(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        at: SimTime,
+        rr: &ReadReq,
+        home: NodeId,
+        blocks: Vec<u64>,
+    ) {
+        self.coop_seq += 1;
+        let qid = self.coop_seq;
+        // Mint the correlation id unconditionally (wire layout and
+        // determinism stay identical with tracing on or off); only
+        // the trace emission below is gated on obs.
+        let flow = FlowId::coop(self.node.0, qid);
+        let q = BlockDirQuery {
+            req_id: qid,
+            fid: rr.fid,
+            blocks: blocks.clone(),
+            reply_to: (self.node, CACHE_PORT),
+            flow,
+        };
+        self.coop_pending.insert(
+            qid,
+            CoopFetch {
+                fid: rr.fid,
+                home,
+                client_req: rr.req_id,
+                reply_to: rr.reply_to,
+                blocks,
+                outstanding_peers: 0,
+                to_disk: Vec::new(),
+                flow,
+            },
+        );
+        let t = self.charge(at, self.costs.send_overhead);
+        if let Some(o) = &self.obs {
+            // Flow start on the requester: the miss that opens the
+            // cross-node conversation. The matching end is emitted
+            // by finish_coop, which every conversation reaches.
+            o.hub.flow(o.ev_flow, Phase::FlowStart, t.nanos(), o.node, 1, flow);
+        }
+        self.tag += 1;
+        let mgr = self.mgr_node.expect("cooperative_active checked mgr_node");
+        let m =
+            NetMessage::new((self.node, CACHE_PORT), (mgr, MGR_PORT), q.wire_bytes(), self.tag, q)
+                .with_class(TrafficClass::Peer);
+        self.send_to_net(ctx, t, m);
+        self.stats.dir_queries += 1;
     }
 
     fn intercept_write(&mut self, ctx: &mut Ctx<'_>, mut net: NetMessage, wr: WriteReq) {
@@ -770,7 +813,7 @@ impl CacheModule {
             );
         }
         self.stats.bytes_absorbed += absorbed_bytes;
-        self.publish_dir_delta(ctx, t, absorbed_keys);
+        self.note_installed(ctx, t, absorbed_keys);
         if passthrough.is_empty() {
             // Fully absorbed: fake the write ack (write-behind).
             self.stats.fake_write_acks += 1;
@@ -948,7 +991,7 @@ impl CacheModule {
                 o.remote_hits.add(nblocks);
             }
         }
-        self.publish_dir_delta(ctx, t, installed);
+        self.note_installed(ctx, t, installed);
         if !urgent.is_empty() {
             self.send_flushes(ctx, t, urgent, true, false);
         }
@@ -968,40 +1011,107 @@ impl CacheModule {
     // Cooperative remote-hit tier
     // -----------------------------------------------------------------
 
-    /// Push this node's residency delta to the block location directory.
-    /// `added` are blocks just installed; evictions recorded by the
-    /// buffer manager since the last publish ride along as removals.
-    /// In hint mode the manager records no departures, so the directory
-    /// decays into an over-approximate hint store — misdirected peer
-    /// fetches then fall through to disk, never return wrong data.
-    fn publish_dir_delta(&mut self, ctx: &mut Ctx<'_>, at: SimTime, added: Vec<BlockKey>) {
-        if !self.cooperative_active() {
+    /// Could any peer cache hold one of `blocks`? Consults the latest
+    /// residency summary from each peer; with none received yet, no.
+    fn peer_may_hold(&self, fid: Fid, blocks: &[u64]) -> bool {
+        self.peer_summaries.values().any(|s| blocks.iter().any(|&b| s.contains(fid, b)))
+    }
+
+    /// Record freshly installed blocks as pending directory additions;
+    /// once a quarter of the cache has turned over since the last
+    /// summary, refresh it.
+    fn note_installed(&mut self, ctx: &mut Ctx<'_>, at: SimTime, keys: Vec<BlockKey>) {
+        if !self.cooperative_active() || keys.is_empty() {
             return;
         }
-        let mgr = self.mgr_node.expect("cooperative_active checked mgr_node");
-        let mut per_fid: HashMap<Fid, (Vec<u64>, Vec<u64>)> = HashMap::new();
-        for k in added {
-            per_fid.entry(k.fid).or_default().0.push(k.blk);
+        self.installs_since_summary += keys.len();
+        self.dir_added.extend(keys);
+        if self.installs_since_summary >= (self.cfg.capacity_blocks / 4).max(1) {
+            self.refresh_summary(ctx, at);
         }
-        for k in self.cache.take_evicted() {
-            per_fid.entry(k.fid).or_default().1.push(k.blk);
+    }
+
+    /// Rebuild this node's residency summary, send it to every peer, and
+    /// publish the pending directory delta with it.
+    fn refresh_summary(&mut self, ctx: &mut Ctx<'_>, at: SimTime) {
+        self.installs_since_summary = 0;
+        self.stats.summary_refreshes += 1;
+        // A fresh seed per refresh keeps Bloom false positives from
+        // sticking to the same blocks.
+        let seed = (self.node.0 as u64) << 48 | self.stats.summary_refreshes;
+        let mut summary = ResidencySummary::for_capacity(self.cfg.capacity_blocks, seed);
+        for k in self.cache.resident_keys() {
+            summary.insert(k.fid, k.blk);
         }
+        let summary = Arc::new(summary);
         let mut at = at;
-        for (fid, (added, removed)) in per_fid {
+        for peer in self.peers.clone() {
             at = self.charge(at, self.costs.send_overhead);
-            let u = BlockDirUpdate { fid, node: self.node, added, removed };
+            let msg = PeerSummary { node: self.node, summary: summary.clone() };
             self.tag += 1;
             let m = NetMessage::new(
                 (self.node, CACHE_PORT),
-                (mgr, MGR_PORT),
-                u.wire_bytes(),
+                (peer, CACHE_PORT),
+                msg.wire_bytes(),
                 self.tag,
-                u,
+                msg,
             )
             .with_class(TrafficClass::Peer);
             self.send_to_net(ctx, at, m);
-            self.stats.dir_updates += 1;
         }
+        self.publish_dir_delta(ctx, at, true);
+    }
+
+    /// Push this node's residency delta to the block location directory
+    /// as one message covering every file. Evictions recorded by the
+    /// buffer manager since the last publish are the removals; they force
+    /// a publish, so the authoritative directory learns of departures
+    /// within one eviction burst. Pending additions ride along, and
+    /// `force` (a summary refresh) publishes them on their own — which is
+    /// all hint mode, logging no evictions, ever does. There, the
+    /// directory decays into an over-approximate hint store: misdirected
+    /// peer fetches fall through to disk, never return wrong data.
+    fn publish_dir_delta(&mut self, ctx: &mut Ctx<'_>, at: SimTime, force: bool) {
+        if !self.cooperative_active() {
+            return;
+        }
+        let evicted = self.cache.take_evicted();
+        if evicted.is_empty() && !force {
+            return;
+        }
+        // A block can be installed and evicted (or the reverse) between
+        // two publishes; current residency decides which way it goes.
+        let mut per_fid: BTreeMap<Fid, (BTreeSet<u64>, BTreeSet<u64>)> = BTreeMap::new();
+        for k in std::mem::take(&mut self.dir_added) {
+            if self.cache.contains(k) {
+                per_fid.entry(k.fid).or_default().0.insert(k.blk);
+            }
+        }
+        for k in evicted {
+            if !self.cache.contains(k) {
+                per_fid.entry(k.fid).or_default().1.insert(k.blk);
+            }
+        }
+        if per_fid.is_empty() {
+            return;
+        }
+        let deltas = per_fid
+            .into_iter()
+            .map(|(fid, (added, removed))| DirDelta {
+                fid,
+                added: added.into_iter().collect(),
+                removed: removed.into_iter().collect(),
+            })
+            .collect();
+        let mgr = self.mgr_node.expect("cooperative_active checked mgr_node");
+        let t = self.charge(at, self.costs.send_overhead);
+        let u = BlockDirUpdate { node: self.node, deltas };
+        self.tag += 1;
+        let m =
+            NetMessage::new((self.node, CACHE_PORT), (mgr, MGR_PORT), u.wire_bytes(), self.tag, u)
+                .with_class(TrafficClass::Peer);
+        self.send_to_net(ctx, t, m);
+        self.stats.dir_updates += 1;
     }
 
     /// The directory's answer to one of our queries: fan the located
@@ -1013,7 +1123,7 @@ impl CacheModule {
             debug_assert!(false, "directory reply for unknown query");
             return;
         };
-        let mut per_peer: HashMap<NodeId, Vec<u64>> = HashMap::new();
+        let mut per_peer: BTreeMap<NodeId, Vec<u64>> = BTreeMap::new();
         let mut located = std::collections::HashSet::new();
         for (blk, node) in &reply.locations {
             per_peer.entry(*node).or_default().push(*blk);
@@ -1235,7 +1345,7 @@ impl CacheModule {
                     self.cache.invalidate(inv.blocks.iter().map(|b| BlockKey::new(inv.fid, *b)));
                     // Invalidated blocks leave the directory immediately
                     // (authoritative mode records them as departures).
-                    self.publish_dir_delta(ctx, t, Vec::new());
+                    self.publish_dir_delta(ctx, t, false);
                     self.tag += 1;
                     let ack = InvalidateAck { req_id: inv.req_id };
                     let m = NetMessage::new(
@@ -1269,6 +1379,14 @@ impl CacheModule {
                 Err(n) => n,
             };
             // Cooperative remote-hit tier conversations.
+            let net = match net.cast::<PeerSummary>() {
+                Ok((_, ps)) => {
+                    let _ = self.charge(ctx.now(), self.costs.recv_overhead);
+                    self.peer_summaries.insert(ps.node, ps.summary);
+                    return;
+                }
+                Err(n) => n,
+            };
             let net = match net.cast::<BlockDirReply>() {
                 Ok((_, r)) => return self.coop_dir_reply(ctx, *r),
                 Err(n) => n,
@@ -1328,9 +1446,13 @@ impl CacheModule {
         let items = self.cache.take_dirty(self.cfg.flush_batch);
         let now = ctx.now();
         self.send_flushes(ctx, now, items, false, true);
-        // Catch evictions with no install to piggyback on (harvests,
-        // invalidations) so the authoritative directory stays tight.
-        self.publish_dir_delta(ctx, now, Vec::new());
+        // Summaries go out on the tick too, so a node whose installs
+        // trickle in below the refresh threshold still advertises them.
+        if self.installs_since_summary > 0 {
+            self.refresh_summary(ctx, now);
+        } else {
+            self.publish_dir_delta(ctx, now, false);
+        }
         ctx.schedule_self(self.cfg.flush_interval, FlushTick);
     }
 
@@ -1341,7 +1463,8 @@ impl CacheModule {
         let now = ctx.now();
         let t = self.charge(now, Dur::nanos(self.costs.cache_lookup_per_block.as_nanos() * 8));
         self.send_flushes(ctx, t, items, true, true);
-        self.publish_dir_delta(ctx, t, Vec::new());
+        // One harvest is one eviction burst: one directory delta.
+        self.publish_dir_delta(ctx, t, false);
         // If still below the watermark (everything dirty and in flight),
         // try again after the next wakeup.
         self.maybe_schedule_harvest(ctx);

@@ -4,26 +4,32 @@
 //! invalidation handling — the mechanisms of §3.2, tested in isolation
 //! from the full cluster.
 
-use kcache::{CacheConfig, CacheModule};
+use kcache::{CacheConfig, CacheModule, CooperativeConfig};
 use pvfs::{
-    pattern_bytes, ByteRange, CostModel, Fid, FlushAck, FlushBlocks, Invalidate, InvalidateAck,
-    ReadAck, ReadData, ReadReq, WriteAck, WritePart, WriteReq, CACHE_PORT, CLIENT_PORT_BASE,
-    IOD_FLUSH_PORT, IOD_PORT,
+    pattern_bytes, BlockDirQuery, BlockDirReply, BlockDirUpdate, ByteRange, CostModel, Fid,
+    FlushAck, FlushBlocks, Invalidate, InvalidateAck, PeerSummary, ReadAck, ReadData, ReadReq,
+    ResidencySummary, WriteAck, WritePart, WriteReq, CACHE_PORT, CLIENT_PORT_BASE, IOD_FLUSH_PORT,
+    IOD_PORT, MGR_PORT,
 };
 use sim_core::{Actor, ActorId, Ctx, Dur, Engine, FifoResource, Msg, SimTime};
 use sim_net::{Deliver, NetMessage, NodeId, Port, Xmit};
 use std::any::Any;
+use std::sync::Arc;
 
 const CLIENT: u16 = 0; // node 0 runs the module + client; node 1 the iod
 const IOD: u16 = 1;
 
 /// Scripted iod: answers read requests with pattern data after a fixed
-/// delay; records everything it sees.
+/// delay; records everything it sees. In cooperative rigs it also stands
+/// in for the block location directory (bound to the mgr port), which
+/// knows no sharers: every query is answered with no locations.
 struct ScriptedIod {
     fabric: ActorId,
     reads: Vec<ReadReq>,
     writes: Vec<WriteReq>,
     flushes: Vec<FlushBlocks>,
+    dir_queries: Vec<BlockDirQuery>,
+    dir_updates: Vec<BlockDirUpdate>,
     delay: Dur,
     tag: u64,
 }
@@ -68,6 +74,21 @@ impl Actor for ScriptedIod {
                 self.writes.push(*wr);
                 return;
             }
+            Err(d) => d,
+        };
+        let d = match d.cast::<BlockDirQuery>() {
+            Ok((_, q)) => {
+                let reply = BlockDirReply { req_id: q.req_id, fid: q.fid, locations: vec![] };
+                self.tag += 1;
+                let m = NetMessage::new((NodeId(IOD), MGR_PORT), q.reply_to, 64, self.tag, reply);
+                ctx.schedule_in(self.delay, self.fabric, Xmit(m));
+                self.dir_queries.push(*q);
+                return;
+            }
+            Err(d) => d,
+        };
+        let d = match d.cast::<BlockDirUpdate>() {
+            Ok((_, u)) => return self.dir_updates.push(*u),
             Err(d) => d,
         };
         if let Ok((_, f)) = d.cast::<FlushBlocks>() {
@@ -139,10 +160,13 @@ fn rig_with(cfg: CacheConfig) -> Rig {
         reads: vec![],
         writes: vec![],
         flushes: vec![],
+        dir_queries: vec![],
+        dir_updates: vec![],
         delay: Dur::micros(500),
         tag: 0,
     }));
     let client = eng.add_actor(Box::new(ClientProbe { acks: vec![], data: vec![], wacks: vec![] }));
+    let cooperative = cfg.cooperative.is_some();
     let mut module = CacheModule::new(
         NodeId(CLIENT),
         fabric_slot,
@@ -150,6 +174,11 @@ fn rig_with(cfg: CacheConfig) -> Rig {
         CostModel::default(),
         cfg,
     );
+    if cooperative {
+        // The directory sits with the iod on node 1; no peer cache runs,
+        // so summaries only ever arrive when a test posts one.
+        module.set_directory_home(NodeId(IOD));
+    }
     let client_port = Port(CLIENT_PORT_BASE);
     module.register_client(client_port, client, kcache::AppId(0));
     let module = eng.add_actor(Box::new(module));
@@ -161,6 +190,7 @@ fn rig_with(cfg: CacheConfig) -> Rig {
     let mut n1 = sim_net::NodeNet::new(NodeId(IOD));
     n1.bind(IOD_PORT, iod);
     n1.bind(IOD_FLUSH_PORT, iod);
+    n1.bind(MGR_PORT, iod);
     eng.install(net1, Box::new(n1));
     Rig { eng, module, iod, client }
 }
@@ -454,4 +484,78 @@ fn bytes_of_pattern_survive_partial_hit_assembly() {
         pattern_bytes(Fid(1), 100, 8 * 4096),
         "partial-hit assembly corrupted data"
     );
+}
+
+fn coop_rig() -> Rig {
+    rig_with(CacheConfig {
+        cooperative: Some(CooperativeConfig::default()),
+        ..CacheConfig::paper()
+    })
+}
+
+/// A residency summary from the peer on node 1 listing `blocks` of file 1.
+fn peer_summary(blocks: &[u64]) -> Deliver {
+    let mut summary = ResidencySummary::for_capacity(300, 1);
+    for &b in blocks {
+        summary.insert(Fid(1), b);
+    }
+    let ps = PeerSummary { node: NodeId(IOD), summary: Arc::new(summary) };
+    let wire = ps.wire_bytes();
+    Deliver(NetMessage::new((NodeId(IOD), CACHE_PORT), (NodeId(CLIENT), CACHE_PORT), wire, 0, ps))
+}
+
+#[test]
+fn miss_outside_every_peer_summary_skips_the_directory() {
+    let mut r = coop_rig();
+    // No summary has arrived yet: nobody can hold block 0.
+    r.eng.post(Dur::ZERO, r.module, read_req(1, vec![ByteRange::new(0, 4096)]));
+    r.eng.run_until(SimTime::ZERO + Dur::millis(50));
+    // The peer advertises block 5 only.
+    r.eng.post(Dur::ZERO, r.module, peer_summary(&[5]));
+    r.eng.post(Dur::millis(1), r.module, read_req(2, vec![ByteRange::new(9 * 4096, 4096)]));
+    r.eng.run_until(SimTime::ZERO + Dur::millis(100));
+    {
+        let iod = r.eng.actor_as::<ScriptedIod>(r.iod).unwrap();
+        assert!(iod.dir_queries.is_empty(), "unlisted misses must not query the directory");
+        assert_eq!(iod.reads.len(), 2, "both misses go straight to the iod");
+        let m = r.eng.actor_as::<CacheModule>(r.module).unwrap();
+        assert_eq!((m.stats().dir_skipped, m.stats().dir_queries), (2, 0));
+    }
+    // A miss on the advertised block asks the directory first; the empty
+    // answer sends it on to the iod as one deferred request.
+    r.eng.post(Dur::ZERO, r.module, read_req(3, vec![ByteRange::new(4 * 4096, 2 * 4096)]));
+    r.eng.run_until(SimTime::ZERO + Dur::millis(150));
+    let iod = r.eng.actor_as::<ScriptedIod>(r.iod).unwrap();
+    assert_eq!(iod.dir_queries.len(), 1);
+    assert_eq!(iod.dir_queries[0].blocks, vec![4, 5]);
+    assert_eq!(iod.reads.len(), 3);
+    assert_eq!(iod.reads[2].ranges, vec![ByteRange::new(4 * 4096, 2 * 4096)]);
+    let c = r.eng.actor_as::<ClientProbe>(r.client).unwrap();
+    assert_eq!(c.acks.len(), 3, "one ack per request on either path");
+    assert_eq!(c.data.last().unwrap().data, pattern_bytes(Fid(1), 4 * 4096, 2 * 4096));
+}
+
+#[test]
+fn directory_deltas_batch_installs_instead_of_one_per_fetch() {
+    let mut r = coop_rig();
+    // 40 single-block misses: 40 installs, below the 75-install summary
+    // threshold, and no eviction in a 300-frame cache.
+    for i in 0..40u64 {
+        r.eng.post(Dur::millis(i), r.module, read_req(i + 1, vec![ByteRange::new(i * 4096, 4096)]));
+    }
+    r.eng.run_until(SimTime::ZERO + Dur::millis(100));
+    assert!(
+        r.eng.actor_as::<ScriptedIod>(r.iod).unwrap().dir_updates.is_empty(),
+        "installs alone publish nothing before a summary refresh"
+    );
+    // The first flusher tick (500 ms) refreshes the summary, which
+    // publishes every pending addition in one message.
+    r.eng.run_until(SimTime::ZERO + Dur::millis(600));
+    let iod = r.eng.actor_as::<ScriptedIod>(r.iod).unwrap();
+    assert_eq!(iod.dir_updates.len(), 1);
+    let added: Vec<u64> = iod.dir_updates[0].deltas.iter().flat_map(|d| d.added.clone()).collect();
+    assert_eq!(added, (0..40).collect::<Vec<u64>>());
+    let m = r.eng.actor_as::<CacheModule>(r.module).unwrap();
+    assert_eq!(m.stats().dir_updates, 1);
+    assert_eq!(m.stats().summary_refreshes, 1);
 }

@@ -277,27 +277,6 @@ pub struct AdaptiveStats {
     pub quota_log: Vec<QuotaMoveRecord>,
 }
 
-impl AdaptiveStats {
-    /// Field-wise accumulation across cache modules (ghost ledgers merge
-    /// by kind so per-node candidate lists may differ).
-    pub fn merge(&mut self, other: &AdaptiveStats) {
-        self.epochs += other.epochs;
-        self.switches += other.switches;
-        self.switch_log.extend(other.switch_log.iter().copied());
-        for g in &other.ghost_rates {
-            match self.ghost_rates.iter_mut().find(|m| m.kind == g.kind) {
-                Some(m) => {
-                    m.hits += g.hits;
-                    m.misses += g.misses;
-                }
-                None => self.ghost_rates.push(*g),
-            }
-        }
-        self.quota_moves += other.quota_moves;
-        self.quota_log.extend(other.quota_log.iter().copied());
-    }
-}
-
 /// A replacement policy: residency/recency bookkeeping plus ranked
 /// eviction candidates.
 ///

@@ -13,6 +13,8 @@
 //!   transparently.
 //! * [`protocol`] / [`striping`] / [`config`] — wire messages, stripe
 //!   arithmetic, and the calibrated cost model.
+//! * [`summary`] — the Bloom-filter residency summaries cache modules
+//!   exchange to decide whether a miss is worth a directory query.
 //!
 //! Files hold deterministic pattern bytes ([`protocol::pattern_byte`]), so
 //! every byte that moves through cache, network, page cache and disk can be
@@ -24,16 +26,18 @@ pub mod iod;
 pub mod mgr;
 pub mod protocol;
 pub mod striping;
+pub mod summary;
 
 pub use client::{ClientConfig, ClientStats, Completion, PvfsClient};
 pub use config::{CostModel, PvfsConfig};
 pub use iod::{Iod, IodStats};
 pub use mgr::{Mgr, MgrStats, StripePolicy};
 pub use protocol::{
-    pattern_byte, pattern_bytes, BlockDirQuery, BlockDirReply, BlockDirUpdate, ByteRange, Fid,
-    FileHandle, FlushAck, FlushBlocks, FlushEntry, Invalidate, InvalidateAck, MgrCall, MgrReply,
-    MgrRequest, PeerReadReply, PeerReadReq, ReadAck, ReadData, ReadReq, StripeSpec, WriteAck,
-    WritePart, WriteReq, CACHE_PORT, CLIENT_PORT_BASE, IOD_FLUSH_PORT, IOD_PORT, MGR_PORT,
-    MSG_HEADER_BYTES,
+    pattern_byte, pattern_bytes, BlockDirQuery, BlockDirReply, BlockDirUpdate, ByteRange, DirDelta,
+    Fid, FileHandle, FlushAck, FlushBlocks, FlushEntry, Invalidate, InvalidateAck, MgrCall,
+    MgrReply, MgrRequest, PeerReadReply, PeerReadReq, PeerSummary, ReadAck, ReadData, ReadReq,
+    StripeSpec, WriteAck, WritePart, WriteReq, CACHE_PORT, CLIENT_PORT_BASE, IOD_FLUSH_PORT,
+    IOD_PORT, MGR_PORT, MSG_HEADER_BYTES,
 };
 pub use striping::{split_ranges, tiles_exactly};
+pub use summary::ResidencySummary;

@@ -78,7 +78,7 @@ pub struct Mgr {
     /// misdirect and the fetch falls through to disk at the requester,
     /// and `hint_max_age` bounds how long such ghosts survive.
     directory: HashMap<(Fid, u64), Vec<(NodeId, u64)>>,
-    /// Monotone directory logical clock: one tick per applied update.
+    /// Monotone directory logical clock: one tick per block addition.
     dir_gen: u64,
     /// `Some(age)`: sharer stamps older than `age` generations are
     /// dropped (on refresh, on query, and by a periodic sweep). `None`
@@ -189,36 +189,42 @@ impl Mgr {
 
     fn apply_dir_update(&mut self, up: BlockDirUpdate) {
         self.stats.dir_updates += 1;
-        self.dir_gen += 1;
-        let gen = self.dir_gen;
-        let cut = self.stale_cutoff();
-        for blk in up.added {
-            let sharers = self.directory.entry((up.fid, blk)).or_default();
-            match sharers.iter_mut().find(|(n, _)| *n == up.node) {
-                Some(s) => s.1 = gen,
-                None => sharers.push((up.node, gen)),
+        let gen_before = self.dir_gen;
+        for d in up.deltas {
+            for blk in d.added {
+                // One generation per block addition: the aging window is
+                // measured in directory traffic, however the modules batch
+                // their deltas.
+                self.dir_gen += 1;
+                let gen = self.dir_gen;
+                let cut = self.stale_cutoff();
+                let sharers = self.directory.entry((d.fid, blk)).or_default();
+                match sharers.iter_mut().find(|(n, _)| *n == up.node) {
+                    Some(s) => s.1 = gen,
+                    None => sharers.push((up.node, gen)),
+                }
+                // A refresh is the cheap moment to shed this entry's other
+                // stale sharers.
+                if let Some(c) = cut {
+                    let before = sharers.len();
+                    sharers.retain(|(_, g)| *g >= c);
+                    self.stats.dir_stale_dropped += (before - sharers.len()) as u64;
+                }
             }
-            // A refresh is the cheap moment to shed this entry's other
-            // stale sharers.
-            if let Some(c) = cut {
-                let before = sharers.len();
-                sharers.retain(|(_, g)| *g >= c);
-                self.stats.dir_stale_dropped += (before - sharers.len()) as u64;
-            }
-        }
-        for blk in up.removed {
-            if let Some(sharers) = self.directory.get_mut(&(up.fid, blk)) {
-                sharers.retain(|(n, _)| *n != up.node);
-                if sharers.is_empty() {
-                    self.directory.remove(&(up.fid, blk));
+            for blk in d.removed {
+                if let Some(sharers) = self.directory.get_mut(&(d.fid, blk)) {
+                    sharers.retain(|(n, _)| *n != up.node);
+                    if sharers.is_empty() {
+                        self.directory.remove(&(d.fid, blk));
+                    }
                 }
             }
         }
-        // Amortized full sweep: entries nobody refreshes or queries again
-        // would otherwise be immortal — exactly the blocks-ever-cached
-        // accretion hint mode used to suffer.
+        // Amortized full sweep, once per `age` generations: entries nobody
+        // refreshes or queries again would otherwise be immortal — exactly
+        // the blocks-ever-cached accretion hint mode used to suffer.
         if let Some(age) = self.hint_max_age {
-            if gen.is_multiple_of(age) {
+            if self.dir_gen / age > gen_before / age {
                 self.sweep_stale();
             }
         }
@@ -506,7 +512,10 @@ mod tests {
             (NodeId(0), MGR_PORT),
             64,
             0,
-            BlockDirUpdate { fid: Fid(1), node: NodeId(node), added, removed },
+            BlockDirUpdate {
+                node: NodeId(node),
+                deltas: vec![crate::protocol::DirDelta { fid: Fid(1), added, removed }],
+            },
         ))
     }
 
@@ -599,6 +608,32 @@ mod tests {
         let r = &cap.dir_replies[0];
         assert_eq!(r.req_id, 7);
         assert_eq!(r.locations, vec![(10, NodeId(1))]);
+    }
+
+    #[test]
+    fn one_update_message_carries_several_files() {
+        use crate::protocol::DirDelta;
+        let (mut eng, mgr, _cap) = setup();
+        eng.post(Dur::ZERO, mgr, dir_update(1, vec![10, 11], vec![]));
+        let multi = BlockDirUpdate {
+            node: NodeId(1),
+            deltas: vec![
+                DirDelta { fid: Fid(1), added: vec![12], removed: vec![10] },
+                DirDelta { fid: Fid(2), added: vec![10], removed: vec![] },
+            ],
+        };
+        eng.post(
+            Dur::micros(1),
+            mgr,
+            Deliver(NetMessage::new((NodeId(1), Port(7100)), (NodeId(0), MGR_PORT), 64, 0, multi)),
+        );
+        eng.run();
+        let m = eng.actor_as::<Mgr>(mgr).unwrap();
+        assert_eq!(m.stats().dir_updates, 2, "one message, however many files");
+        assert!(m.directory_sharers(Fid(1), 10).is_empty(), "removal applied");
+        assert_eq!(m.directory_sharers(Fid(1), 11), vec![NodeId(1)]);
+        assert_eq!(m.directory_sharers(Fid(1), 12), vec![NodeId(1)]);
+        assert_eq!(m.directory_sharers(Fid(2), 10), vec![NodeId(1)], "second file's section");
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //! rewrites the range lists in flight — that is precisely the paper's
 //! "discount these [cached blocks] in the request(s)" mechanism.
 
+use crate::summary::ResidencySummary;
 use bytes::Bytes;
 use kcache_obs::FlowId;
 use sim_net::{NodeId, Port};
+use std::sync::Arc;
 
 /// Well-known ports.
 pub const MGR_PORT: Port = Port(3000);
@@ -297,21 +299,50 @@ impl InvalidateAck {
 // ---------------------------------------------------------------------------
 
 /// Residency delta pushed by a node's cache module to the mgr's block
-/// location directory: `added` blocks are now resident on `node`, `removed`
-/// blocks are not. Fire-and-forget (no ack): the directory is advisory and
-/// a lost update only costs a misdirected peer fetch that falls through to
-/// disk.
+/// location directory, covering any number of files: per [`DirDelta`],
+/// `added` blocks are now resident on `node`, `removed` blocks are not.
+/// A module sends one per publish (an eviction burst or a summary
+/// refresh), not one per install. Fire-and-forget (no ack): the
+/// directory is advisory and a lost update only costs a misdirected peer
+/// fetch that falls through to disk.
 #[derive(Debug, Clone)]
 pub struct BlockDirUpdate {
-    pub fid: Fid,
     pub node: NodeId,
+    pub deltas: Vec<DirDelta>,
+}
+
+/// One file's section of a [`BlockDirUpdate`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DirDelta {
+    pub fid: Fid,
     pub added: Vec<u64>,
     pub removed: Vec<u64>,
 }
 
 impl BlockDirUpdate {
     pub fn wire_bytes(&self) -> u32 {
-        MSG_HEADER_BYTES + (self.added.len() + self.removed.len()) as u32 * 8
+        MSG_HEADER_BYTES
+            + self
+                .deltas
+                .iter()
+                .map(|d| 12 + (d.added.len() + d.removed.len()) as u32 * 8)
+                .sum::<u32>()
+    }
+}
+
+/// A cache module's Bloom-filter summary of its resident blocks, sent to
+/// every other cache node. A local miss asks the directory only when one
+/// of its blocks appears in some peer's summary.
+#[derive(Debug, Clone)]
+pub struct PeerSummary {
+    pub node: NodeId,
+    /// Shared between the copies sent to each peer.
+    pub summary: Arc<ResidencySummary>,
+}
+
+impl PeerSummary {
+    pub fn wire_bytes(&self) -> u32 {
+        MSG_HEADER_BYTES + self.summary.wire_bytes()
     }
 }
 
@@ -481,9 +512,17 @@ mod tests {
 
     #[test]
     fn cooperative_wire_sizes_scale_with_content() {
-        let up =
-            BlockDirUpdate { fid: Fid(1), node: NodeId(2), added: vec![1, 2], removed: vec![3] };
-        assert_eq!(up.wire_bytes(), 64 + 24);
+        let up = BlockDirUpdate {
+            node: NodeId(2),
+            deltas: vec![
+                DirDelta { fid: Fid(1), added: vec![1, 2], removed: vec![3] },
+                DirDelta { fid: Fid(2), added: vec![], removed: vec![4] },
+            ],
+        };
+        assert_eq!(up.wire_bytes(), 64 + (12 + 24) + (12 + 8), "header + per-fid sections");
+        let summary = Arc::new(ResidencySummary::for_capacity(300, 1));
+        let sum = PeerSummary { node: NodeId(2), summary };
+        assert_eq!(sum.wire_bytes(), 64 + 1024, "header + filter bytes");
         let q = BlockDirQuery {
             req_id: 1,
             fid: Fid(1),

@@ -255,6 +255,49 @@ fn stale_hints_degrade_to_disk_never_wrong_data() {
 }
 
 #[test]
+fn directory_updates_follow_eviction_bursts_not_installs() {
+    // Authoritative directory over a small churning cache: every install
+    // used to cost one update message. Deltas now go out once per
+    // harvest (an eviction burst), summary refresh, flusher tick or
+    // invalidation, so the update count is bounded by those events.
+    let cache = CacheConfig {
+        capacity_blocks: 64,
+        low_watermark: 6,
+        high_watermark: 16,
+        cooperative: Some(CooperativeConfig::default()),
+        ..CacheConfig::paper()
+    };
+    let flush_interval = cache.flush_interval;
+    let mut spec = ClusterSpec::paper(Some(cache));
+    spec.seed = 7;
+    let apps = vec![
+        app("a", &[0, 1, 2, 3], 1 << 20, 16 << 10, Mode::Read, 0.2, 1.0),
+        app("b", &[3, 2, 1, 0], 1 << 20, 16 << 10, Mode::Read, 0.2, 1.0),
+    ];
+    let r = run_experiment(&spec, &apps);
+    assert!(r.completed);
+    assert_eq!(r.total_verify_failures(), 0);
+    let m = r.module.as_ref().unwrap();
+    let installs = m.blocks_fetched + m.remote_hit_blocks;
+    let modules = 4;
+    let ticks = modules
+        * (r.sim_end.since(sim_core::SimTime::ZERO).as_nanos() / flush_interval.as_nanos() + 1);
+    let bound = m.harvest_runs + m.summary_refreshes + ticks + m.invalidate_msgs;
+    assert!(m.dir_updates > 0 && m.summary_refreshes > 0, "cooperative tier never published");
+    assert!(
+        m.dir_updates <= bound,
+        "{} updates exceed harvests {} + refreshes {} + ticks {ticks} + invalidations {}",
+        m.dir_updates,
+        m.harvest_runs,
+        m.summary_refreshes,
+        m.invalidate_msgs
+    );
+    assert!(m.dir_updates * 4 < installs, "{} updates for {installs} installs", m.dir_updates);
+    assert!(m.dir_queries > 0, "the directory still names the peers");
+    assert!(m.dir_skipped > 0, "some misses must skip the directory");
+}
+
+#[test]
 fn write_workload_flushes_all_dirty_eventually() {
     // Write more than the cache can hold so the flusher/harvester must run
     // *during* the workload (a small write burst can finish before the
