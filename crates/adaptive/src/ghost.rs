@@ -87,7 +87,7 @@ impl GhostCache {
     /// e.g. `SharingAware` referent decay, must happen in the ghost too or
     /// its prediction drifts from what the candidate would really do).
     pub fn epoch_tick(&mut self) {
-        let _ = self.policy.epoch_tick(&[]);
+        self.policy.epoch_tick();
     }
 
     /// Hit rate over the current epoch (`None` before any traffic this

@@ -9,12 +9,13 @@
 //!   metadata-only, against the same access stream the live policy
 //!   serves; each ghost's hit/miss ledger says what that candidate's hit
 //!   rate would have been,
-//! * an **epoch controller** — every epoch tick (driven by the buffer
-//!   manager off its access counter) the controller compares ghost hit
-//!   rates and, when another candidate beats the live one by more than a
-//!   hysteresis margin, switches the live policy — migrating the resident
-//!   frame state through the shared `FrameTable` so not a single block is
-//!   dropped by the switch,
+//! * an **epoch controller** — at every epoch boundary (driven by the
+//!   buffer manager off its access clock) the manager merges each
+//!   shard's [`EpochObservation`] and [`decide_epoch`] compares ghost hit
+//!   rates; when another candidate beats the live one by more than a
+//!   hysteresis margin, every shard switches its live policy — migrating
+//!   the resident frame state through the shared `FrameTable` so not a
+//!   single block is dropped by the switch,
 //! * a **quota tuner** — per-application ghost lists remember each app's
 //!   recently evicted keys; a re-reference to a remembered key is a
 //!   *refault*: a hit the app's partition was too small to keep. Refault
@@ -35,102 +36,82 @@ pub use ghost::GhostCache;
 
 use kcache_policy::{
     AccessEvent, AccessKind, AdaptiveStats, AppId, EpochDirective, EpochObservation, FrameTable,
-    GhostRate, PolicyKind, QuotaMoveRecord, QuotaUpdate, ReplacementPolicy, SwitchRecord,
+    GhostRate, PolicyKind, QuotaMoveRecord, ReplacementPolicy, SwitchRecord,
 };
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
-/// The epoch controller's switch rule over per-candidate epoch ghost
-/// ledgers `(kind, hits, accesses)`: the best-rated candidate wins a
-/// switch when it is not the live one and beats the live rate by more
-/// than `hysteresis`. Returns `Some((to, live_rate, best_rate))` when a
-/// switch is warranted. Candidates with no traffic this epoch have no
-/// rate and cannot win (or be compared against); ties keep the earliest
-/// candidate in ledger order.
+/// The epoch controller's one decision: turn an epoch observation (the
+/// manager's merge of every shard's ledgers) and the current global
+/// quotas into the [`EpochDirective`] every policy instance applies, plus
+/// the two new quotas of a tuner transfer (winner first) for the manager
+/// to validate and enter into its charge ledger.
 ///
-/// Shared verbatim by [`AdaptivePolicy::epoch_tick`] (single-shard
-/// decisions) and the sharded buffer manager (which merges per-shard
-/// ledgers first) — one rule, so sharding cannot drift the controller.
-pub fn decide_switch(
-    ledgers: &[(PolicyKind, u64, u64)],
-    live: PolicyKind,
-    hysteresis: f64,
-) -> Option<(PolicyKind, f64, f64)> {
-    let rate = |h: u64, a: u64| if a == 0 { None } else { Some(h as f64 / a as f64) };
-    let live_rate =
-        ledgers.iter().find(|&&(k, _, _)| k == live).and_then(|&(_, h, a)| rate(h, a))?;
+/// * **Switch.** The best-rated candidate wins when it is not the live
+///   one and beats the live ghost rate by more than `cfg.hysteresis`.
+///   Candidates with no traffic this epoch have no rate and cannot win
+///   (or be compared against); ties keep the earliest candidate.
+/// * **Quota transfer** (`cfg.quota_tuning` only). Move up to
+///   `cfg.quota_step` frames of quota from the app with the fewest epoch
+///   refaults to the app with the most, clamped so the loser keeps
+///   `cfg.quota_floor` frames and the winner never exceeds `capacity` —
+///   in full or not at all. `quotas` is the effective quota per quota'd
+///   app in ascending app id; apps missing from the refault ledger count
+///   zero.
+pub fn decide_epoch(
+    cfg: &AdaptiveConfig,
+    obs: &EpochObservation,
+    quotas: &[(AppId, usize)],
+    capacity: usize,
+) -> (EpochDirective, Option<[(AppId, usize); 2]>) {
+    let rate = |h: u64, a: u64| (a > 0).then(|| h as f64 / a as f64);
     let mut best: Option<(PolicyKind, f64)> = None;
-    for &(k, h, a) in ledgers {
+    for &(k, h, a) in &obs.ghost_epoch {
         if let Some(r) = rate(h, a) {
             if best.is_none_or(|(_, br)| r > br) {
                 best = Some((k, r));
             }
         }
     }
-    let (best_kind, best_rate) = best?;
-    (best_kind != live && best_rate > live_rate + hysteresis)
-        .then_some((best_kind, live_rate, best_rate))
-}
-
-/// One quota transfer proposed by the marginal-utility rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QuotaMove {
-    pub winner: AppId,
-    pub loser: AppId,
-    /// Frames moved (`loser` shrinks by this, `winner` grows by this).
-    pub frames: usize,
-    pub winner_quota: usize,
-    pub loser_quota: usize,
-    pub winner_refaults: u64,
-    pub loser_refaults: u64,
-}
-
-/// The quota tuner's transfer rule: move up to `quota_step` frames of
-/// quota from the app with the fewest epoch refaults to the app with the
-/// most, clamped so the loser keeps `quota_floor` frames and the winner
-/// never exceeds `capacity` — in full or not at all. `quotas` is the
-/// current effective quota per app (ascending app id, as the manager
-/// reports it); `refaults` the per-app epoch refault evidence (missing
-/// apps count zero). Shared by [`AdaptivePolicy::epoch_tick`] and the
-/// sharded manager's coordinated epoch (which merges per-shard refault
-/// ledgers first).
-pub fn decide_quota_move(
-    quotas: &[(AppId, usize)],
-    refaults: &[(AppId, u64)],
-    capacity: usize,
-    quota_step: usize,
-    quota_floor: usize,
-) -> Option<QuotaMove> {
-    if quotas.len() < 2 {
-        return None;
+    let live_rate = obs
+        .ghost_epoch
+        .iter()
+        .find(|&&(k, _, _)| Some(k) == obs.live)
+        .and_then(|&(_, h, a)| rate(h, a));
+    let switch_to = match (live_rate, best) {
+        (Some(lr), Some((to, br))) if Some(to) != obs.live && br > lr + cfg.hysteresis => {
+            Some((to, lr, br))
+        }
+        _ => None,
+    };
+    let mut directive = EpochDirective { switch_to, quota_move: None };
+    if !cfg.quota_tuning {
+        return (directive, None);
     }
-    let rf = |app: AppId| refaults.iter().find(|&&(a, _)| a == app).map_or(0, |&(_, n)| n);
+    let rf = |app: AppId| obs.refaults.iter().find(|&&(a, _)| a == app).map_or(0, |&(_, n)| n);
     // Winner: most refaults, smaller quota on ties (the squeezed app
     // gains first). Loser: fewest refaults, larger quota on ties (a
     // drained app is not squeezed further). Both deterministic over the
     // ascending-app-id slice.
-    let &(winner, wq) = quotas.iter().max_by_key(|&&(a, q)| (rf(a), std::cmp::Reverse(q)))?;
-    let &(loser, lq) = quotas
-        .iter()
-        .filter(|&&(a, _)| a != winner)
-        .min_by_key(|&&(a, q)| (rf(a), std::cmp::Reverse(q)))?;
-    if rf(winner) <= rf(loser) {
-        return None;
-    }
+    let Some(&(winner, wq)) = quotas.iter().max_by_key(|&&(a, q)| (rf(a), Reverse(q))) else {
+        return (directive, None);
+    };
+    let Some(&(loser, lq)) =
+        quotas.iter().filter(|&&(a, _)| a != winner).min_by_key(|&&(a, q)| (rf(a), Reverse(q)))
+    else {
+        return (directive, None);
+    };
     // Clamp to what both sides can honor: the loser keeps at least the
     // fairness floor and the winner never exceeds the pool — a transfer
     // must be applicable in full or not proposed at all (a half-applied
     // pair would leak quota).
-    let floor = quota_floor.max(1);
-    let frames = quota_step.min(lq.saturating_sub(floor)).min(capacity.saturating_sub(wq));
-    (frames > 0).then_some(QuotaMove {
-        winner,
-        loser,
-        frames,
-        winner_quota: wq + frames,
-        loser_quota: lq - frames,
-        winner_refaults: rf(winner),
-        loser_refaults: rf(loser),
-    })
+    let floor = cfg.quota_floor.max(1);
+    let frames = cfg.quota_step.min(lq.saturating_sub(floor)).min(capacity.saturating_sub(wq));
+    if rf(winner) <= rf(loser) || frames == 0 {
+        return (directive, None);
+    }
+    directive.quota_move = Some((loser, winner, frames, rf(loser), rf(winner)));
+    (directive, Some([(winner, wq + frames), (loser, lq - frames)]))
 }
 
 /// Tunables of the meta-policy (the `adaptive` section of experiment
@@ -148,9 +129,6 @@ pub struct AdaptiveConfig {
     pub quota_tuning: bool,
     /// Frames of quota moved per epoch by the tuner.
     pub quota_step: usize,
-    /// Per-application ghost-list capacity in keys (0 = the cache
-    /// capacity: remember about one partition's worth of evictions).
-    pub ghost_history: usize,
     /// The fairness floor: the tuner never shrinks any app's quota below
     /// this many frames, so a zero-utility tenant cannot be drained to a
     /// single frame by a refault-heavy neighbor. Values below 1 are
@@ -167,7 +145,6 @@ impl AdaptiveConfig {
             hysteresis: 0.02,
             quota_tuning: true,
             quota_step: 8,
-            ghost_history: 0,
             quota_floor: 1,
         }
     }
@@ -221,16 +198,18 @@ impl AppGhostList {
 
 /// The meta-policy. See the crate docs for the control loop; to the
 /// buffer manager this is just another [`ReplacementPolicy`] whose
-/// [`epoch_tick`](ReplacementPolicy::epoch_tick) happens to do something.
+/// [`epoch_observe`](ReplacementPolicy::epoch_observe) /
+/// [`epoch_apply`](ReplacementPolicy::epoch_apply) pair does something.
 pub struct AdaptivePolicy {
     cfg: AdaptiveConfig,
+    /// Pool frames; also each app's ghost-list capacity (remember about
+    /// one partition's worth of evictions).
     capacity: usize,
     live: Box<dyn ReplacementPolicy>,
     /// Index (into `cfg.candidates` / `ghosts`) of the live policy.
     live_idx: usize,
     ghosts: Vec<GhostCache>,
     app_ghosts: BTreeMap<u32, AppGhostList>,
-    ghost_cap: usize,
     stats: AdaptiveStats,
 }
 
@@ -253,7 +232,6 @@ impl AdaptivePolicy {
         });
         let live = cfg.candidates[0].build(capacity);
         let ghosts = cfg.candidates.iter().map(|&k| GhostCache::new(k, capacity)).collect();
-        let ghost_cap = if cfg.ghost_history == 0 { capacity } else { cfg.ghost_history };
         AdaptivePolicy {
             cfg,
             capacity,
@@ -261,7 +239,6 @@ impl AdaptivePolicy {
             live_idx: 0,
             ghosts,
             app_ghosts: BTreeMap::new(),
-            ghost_cap,
             stats: AdaptiveStats::default(),
         }
     }
@@ -281,13 +258,6 @@ impl AdaptivePolicy {
                 gl.note_access(key);
             }
         }
-    }
-
-    /// The tuner's config knobs, exposed so a sharded manager can run the
-    /// shared [`decide_quota_move`] rule over merged per-shard evidence
-    /// with this instance's exact clamps.
-    pub fn config(&self) -> &AdaptiveConfig {
-        &self.cfg
     }
 }
 
@@ -339,7 +309,7 @@ impl ReplacementPolicy for AdaptivePolicy {
         if self.cfg.quota_tuning {
             let owner = self.live.owner_of(frame);
             if owner != AppId::UNKNOWN {
-                let cap = self.ghost_cap;
+                let cap = self.capacity;
                 self.app_ghosts
                     .entry(owner.0)
                     .or_insert_with(|| AppGhostList::new(cap))
@@ -368,33 +338,6 @@ impl ReplacementPolicy for AdaptivePolicy {
         self.live.recency_ranking()
     }
 
-    fn epoch_tick(&mut self, quotas: &[(AppId, usize)]) -> Vec<QuotaUpdate> {
-        // Single-instance epoch = observe, decide over this instance's own
-        // ledgers with the shared rules, apply. A sharded manager runs the
-        // same three steps with a merge between observe and decide.
-        let obs = self.epoch_observe().expect("adaptive policies always observe");
-        let live = self.cfg.candidates[self.live_idx];
-        let switch_to = decide_switch(&obs.ghost_epoch, live, self.cfg.hysteresis);
-        let mut updates = Vec::new();
-        let mut quota_move = None;
-        if self.cfg.quota_tuning {
-            if let Some(mv) = decide_quota_move(
-                quotas,
-                &obs.refaults,
-                self.capacity,
-                self.cfg.quota_step,
-                self.cfg.quota_floor,
-            ) {
-                updates.push(QuotaUpdate { app: mv.winner, quota: mv.winner_quota });
-                updates.push(QuotaUpdate { app: mv.loser, quota: mv.loser_quota });
-                quota_move =
-                    Some((mv.loser, mv.winner, mv.frames, mv.loser_refaults, mv.winner_refaults));
-            }
-        }
-        self.epoch_apply(&EpochDirective { switch_to, quota_move });
-        updates
-    }
-
     fn epoch_observe(&self) -> Option<EpochObservation> {
         Some(EpochObservation {
             live: Some(self.cfg.candidates[self.live_idx]),
@@ -418,7 +361,7 @@ impl ReplacementPolicy for AdaptivePolicy {
         self.stats.epochs += 1;
         // Time-based aging first, in the live policy and every ghost, so
         // a directed switch lands on consistently aged metadata.
-        let _ = self.live.epoch_tick(&[]);
+        self.live.epoch_tick();
         for g in &mut self.ghosts {
             g.epoch_tick();
         }
@@ -500,6 +443,15 @@ mod tests {
         }
     }
 
+    /// One epoch boundary the way the buffer manager runs it: observe,
+    /// decide over `quotas`, apply. Returns the new quotas of a transfer.
+    fn tick(p: &mut AdaptivePolicy, quotas: &[(AppId, usize)]) -> Vec<(AppId, usize)> {
+        let obs = p.epoch_observe().expect("adaptive policies always observe");
+        let (directive, moved) = decide_epoch(&p.cfg, &obs, quotas, p.capacity);
+        p.epoch_apply(&directive);
+        moved.map_or_else(Vec::new, Vec::from)
+    }
+
     #[test]
     fn switches_to_the_better_candidate() {
         // LFU keeps a hot set under heavy skew that clock churns through.
@@ -515,7 +467,7 @@ mod tests {
             stream.push(3 + (i % 7)); // churn
         }
         feed(&mut p, &stream, AppId(0));
-        let _ = p.epoch_tick(&[]);
+        tick(&mut p, &[]);
         let stats = p.adaptive_stats().unwrap();
         assert_eq!(stats.epochs, 1);
         // Whatever the verdict, the ledger must be consistent.
@@ -530,7 +482,7 @@ mod tests {
         let mut p = AdaptivePolicy::new(8, AdaptiveConfig::new([PolicyKind::Arc]));
         feed(&mut p, &(0..100u64).map(|i| i % 13).collect::<Vec<_>>(), AppId(0));
         for _ in 0..10 {
-            let updates = p.epoch_tick(&[]);
+            let updates = tick(&mut p, &[]);
             assert!(updates.is_empty());
         }
         let stats = p.adaptive_stats().unwrap();
@@ -550,7 +502,7 @@ mod tests {
         feed(&mut p, &[1, 2, 3, 4, 1, 2, 1, 2, 5, 6, 1, 2, 7, 8, 1, 2], AppId(0));
         let before = p.table().resident_entries();
         let stats_before = p.table().stats;
-        let _ = p.epoch_tick(&[]);
+        tick(&mut p, &[]);
         assert_eq!(p.table().resident_entries(), before, "switch must not move blocks");
         assert_eq!(p.table().stats, stats_before, "switch must not reset the ledger");
     }
@@ -567,12 +519,12 @@ mod tests {
             feed(&mut p, &[scan_key, scan_key + 1, scan_key + 2], scanner);
             scan_key += 3;
         }
-        let updates = p.epoch_tick(&[(victim, 2), (scanner, 2)]);
+        let updates = tick(&mut p, &[(victim, 2), (scanner, 2)]);
         assert_eq!(updates.len(), 2, "tuner must move quota");
-        let vu = updates.iter().find(|u| u.app == victim).unwrap();
-        let su = updates.iter().find(|u| u.app == scanner).unwrap();
-        assert!(vu.quota > 2, "victim quota must grow, got {}", vu.quota);
-        assert!(su.quota < 2 && su.quota >= 1, "scanner quota must shrink, got {}", su.quota);
+        let vu = updates.iter().find(|u| u.0 == victim).unwrap();
+        let su = updates.iter().find(|u| u.0 == scanner).unwrap();
+        assert!(vu.1 > 2, "victim quota must grow, got {}", vu.1);
+        assert!(su.1 < 2 && su.1 >= 1, "scanner quota must shrink, got {}", su.1);
         let stats = p.adaptive_stats().unwrap();
         assert_eq!(stats.quota_moves, 1);
         assert_eq!(stats.quota_log[0].to, victim);
@@ -601,18 +553,18 @@ mod tests {
             feed(&mut p, &[round % 5], hot); // 5-key set over 4 frames: refaults
             feed(&mut p, &[100 + round], cold);
         }
-        let updates = p.epoch_tick(&[(hot, 4), (cold, 3)]);
+        let updates = tick(&mut p, &[(hot, 4), (cold, 3)]);
         assert!(updates.is_empty(), "winner at capacity: no transfer, got {updates:?}");
         assert_eq!(p.adaptive_stats().unwrap().quota_moves, 0);
         // One frame of headroom: the step clamps to exactly that.
         for round in 0..30u64 {
             feed(&mut p, &[round % 5], hot);
         }
-        let updates = p.epoch_tick(&[(hot, 3), (cold, 3)]);
-        let hu = updates.iter().find(|u| u.app == hot).unwrap();
-        let cu = updates.iter().find(|u| u.app == cold).unwrap();
-        assert_eq!(hu.quota, 4, "clamped to the pool");
-        assert_eq!(cu.quota, 2, "loser gives exactly what the winner can take");
+        let updates = tick(&mut p, &[(hot, 3), (cold, 3)]);
+        let hu = updates.iter().find(|u| u.0 == hot).unwrap();
+        let cu = updates.iter().find(|u| u.0 == cold).unwrap();
+        assert_eq!(hu.1, 4, "clamped to the pool");
+        assert_eq!(cu.1, 2, "loser gives exactly what the winner can take");
     }
 
     #[test]
@@ -629,7 +581,7 @@ mod tests {
             p.on_remove_invalidated(frame, key);
             feed(&mut p, &[round], app);
         }
-        let updates = p.epoch_tick(&[(app, 2), (AppId(1), 2)]);
+        let updates = tick(&mut p, &[(app, 2), (AppId(1), 2)]);
         assert!(updates.is_empty(), "invalidation churn must not look like quota pressure");
         assert_eq!(p.adaptive_stats().unwrap().quota_moves, 0);
     }
@@ -667,29 +619,26 @@ mod tests {
 
     #[test]
     fn tuner_respects_the_quota_floor() {
-        // ghost_history larger than the hot working set, so every hot
-        // re-reference is still remembered as a refault.
+        // A hot set just larger than the pool: each hot key is evicted and
+        // re-referenced within one pool's worth of its app's evictions, so
+        // every hot re-reference is still remembered as a refault.
         let mut p = AdaptivePolicy::new(
             8,
-            AdaptiveConfig {
-                quota_floor: 3,
-                ghost_history: 64,
-                ..AdaptiveConfig::new([PolicyKind::ExactLru])
-            },
+            AdaptiveConfig { quota_floor: 3, ..AdaptiveConfig::new([PolicyKind::ExactLru]) },
         );
         let (hot, cold) = (AppId(0), AppId(1));
         for round in 0..60u64 {
-            feed(&mut p, &[round % 12], hot); // 12-key set over 8 frames: refaults
+            feed(&mut p, &[round % 10], hot); // 10-key set over 8 frames: refaults
             feed(&mut p, &[1000 + round], cold);
         }
-        let updates = p.epoch_tick(&[(hot, 4), (cold, 4)]);
-        let cu = updates.iter().find(|u| u.app == cold).expect("cold app shrinks");
-        assert_eq!(cu.quota, 3, "shrink stops exactly at the floor");
+        let updates = tick(&mut p, &[(hot, 4), (cold, 4)]);
+        let cu = updates.iter().find(|u| u.0 == cold).expect("cold app shrinks");
+        assert_eq!(cu.1, 3, "shrink stops exactly at the floor");
         // At the floor already: nothing left to give, no transfer at all.
         for round in 0..60u64 {
-            feed(&mut p, &[round % 12], hot);
+            feed(&mut p, &[round % 10], hot);
         }
-        let updates = p.epoch_tick(&[(hot, 5), (cold, 3)]);
+        let updates = tick(&mut p, &[(hot, 5), (cold, 3)]);
         assert!(updates.is_empty(), "a floored quota has nothing to give: {updates:?}");
     }
 
@@ -701,7 +650,7 @@ mod tests {
             feed(&mut p, &[round % 2], a);
             feed(&mut p, &[100 + round], b);
         }
-        let updates = p.epoch_tick(&[(a, 3), (b, 1)]);
+        let updates = tick(&mut p, &[(a, 3), (b, 1)]);
         assert!(updates.is_empty(), "a 1-frame quota has nothing left to give: {updates:?}");
     }
 }

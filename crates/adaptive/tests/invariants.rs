@@ -2,7 +2,7 @@
 //! metadata-only, epoch switches preserve residency and the ledger, and a
 //! single-candidate adaptive policy is byte-for-byte the static policy.
 
-use kcache_adaptive::{AdaptiveConfig, AdaptivePolicy, GhostCache};
+use kcache_adaptive::{decide_epoch, AdaptiveConfig, AdaptivePolicy, GhostCache};
 use kcache_policy::{AppId, PolicyKind, ReplacementPolicy};
 use proptest::prelude::*;
 
@@ -48,7 +48,7 @@ proptest! {
     ) {
         let mut cfg = AdaptiveConfig::all_candidates();
         cfg.hysteresis = 0.0;
-        let mut p = AdaptivePolicy::new(CAP, cfg);
+        let mut p = AdaptivePolicy::new(CAP, cfg.clone());
         for (i, &(op, arg)) in ops.iter().enumerate() {
             let frame = (arg % CAP as u64) as u32;
             let app = AppId((arg % 3) as u32);
@@ -79,8 +79,10 @@ proptest! {
                         (0..CAP as u32).map(|f| p.table().is_pinned(f)).collect();
                     let stats = *p.stats();
                     let usage = p.app_usage();
-                    let updates = p.epoch_tick(&[]);
-                    prop_assert!(updates.is_empty(), "no quotas: no updates");
+                    let obs = p.epoch_observe().expect("adaptive policies observe");
+                    let (directive, moved) = decide_epoch(&cfg, &obs, &[], CAP);
+                    prop_assert!(moved.is_none(), "no quotas: no transfer");
+                    p.epoch_apply(&directive);
                     prop_assert_eq!(
                         p.table().resident_entries(),
                         entries,
@@ -104,7 +106,8 @@ proptest! {
         ops in collection::vec((0u8..5, 0u64..256), 1..250),
     ) {
         for kind in PolicyKind::ALL {
-            let mut adaptive = AdaptivePolicy::new(CAP, AdaptiveConfig::new([kind]));
+            let cfg = AdaptiveConfig::new([kind]);
+            let mut adaptive = AdaptivePolicy::new(CAP, cfg.clone());
             let mut stat = kind.build(CAP);
             for &(op, arg) in &ops {
                 let frame = (arg % CAP as u64) as u32;
@@ -135,8 +138,9 @@ proptest! {
                         }
                     }
                     3 => {
-                        let _ = adaptive.epoch_tick(&[]);
-                        let _ = stat.epoch_tick(&[]);
+                        let obs = adaptive.epoch_observe().expect("adaptive policies observe");
+                        adaptive.epoch_apply(&decide_epoch(&cfg, &obs, &[], CAP).0);
+                        stat.epoch_tick();
                     }
                     _ => {
                         adaptive.begin_scan();

@@ -335,7 +335,6 @@ impl ExperimentConfig {
             hysteresis: a.hysteresis,
             quota_tuning: a.quota_tuning,
             quota_step: a.quota_step,
-            ghost_history: 0,
             quota_floor: a.quota_floor,
         }))
     }

@@ -289,8 +289,8 @@ pub struct TelemetryReport {
     /// over every node's hub.
     pub epochs_logged: u64,
     pub epochs_discarded: u64,
-    /// Cluster rollup: counters and histograms sum across nodes; a
-    /// gauge holds the last write, so per-node gauges live in `nodes`.
+    /// Cluster rollup: counters and histograms sum across nodes. Gauges
+    /// come only from a shared hub; per-node gauges live in `nodes`.
     pub counters: std::collections::BTreeMap<String, u64>,
     pub gauges: std::collections::BTreeMap<String, u64>,
     pub histograms: std::collections::BTreeMap<String, HistogramReport>,

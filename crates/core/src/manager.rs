@@ -37,6 +37,11 @@
 //! boundaries; strict-quota headroom moves between shards as *quota
 //! units* (never frames) on the pre-admission spill path.
 //!
+//! There is exactly one epoch path, at every shard count: the facade's
+//! coordinated boundary (observe every shard → merge → decide once →
+//! apply everywhere). A single shard is a merge over one, so `N = 1` and
+//! `N = k` run the same decision code.
+//!
 //! Lock ordering discipline, per shard: bucket → frame. The free list,
 //! dirty list and the policy state are leaf locks — never held while
 //! acquiring a bucket or frame lock; the charge ledger may nest its
@@ -67,8 +72,9 @@
 //! old apply-under-the-lock path alive as the reference (and as the
 //! bench baseline).
 //!
-//! **Epoch participation** is explicit and uniform: every access event —
-//! hit, miss, probe hit, and recency touch — advances the epoch clock.
+//! **Epoch participation** is explicit and uniform: with epochs on, every
+//! access event — hit, miss, probe hit, and recency touch — advances the
+//! epoch clock; with epochs off no access touches it at all.
 //! Touches (sync-write refreshes, secondary-waiter attribution, merges
 //! into a resident block) are real accesses: they refresh recency and
 //! feed the adaptive ghosts, so they must also age the policies and drive
@@ -80,7 +86,7 @@
 use crate::block::{BlockKey, Span, CACHE_BLOCK_SIZE};
 use crate::config::{CooperativeConfig, PartitionConfig, PartitionMode};
 use crate::ring::EventRing;
-use kcache_adaptive::{decide_quota_move, decide_switch, AdaptiveConfig, AdaptivePolicy};
+use kcache_adaptive::{decide_epoch, AdaptiveConfig, AdaptivePolicy};
 use kcache_obs::{Counter, EventId, Histogram, ObsHub};
 use kcache_policy::{
     AccessEvent, AdaptiveStats, AppId, AppUsage, EpochDirective, EpochObservation, PolicyKind,
@@ -319,7 +325,9 @@ struct ManagerObs {
 /// low bits the in-shard bucket index consumes), so two threads touching
 /// blocks on different shards share **no** lock at all. Cross-shard
 /// state — global quota balances, adaptive switch decisions, tuned-quota
-/// overlays — is reconciled only at epoch boundaries by the facade.
+/// overlays — is reconciled only at epoch boundaries by the facade; a
+/// shard runs no epoch logic of its own beyond bumping the facade's
+/// clock and executing the boundary's per-shard steps.
 struct Shard {
     capacity: usize,
     policy_cfg: EvictPolicy,
@@ -346,11 +354,10 @@ struct Shard {
     /// `partitioning.quotas`; only ever holds apps that were quota'd in
     /// config (the tuner redistributes, it never invents partitions).
     tuned_quotas: Mutex<HashMap<u32, usize>>,
-    /// Accesses (hits + misses + probes + touches) per policy epoch; 0
-    /// disables epochs.
-    epoch_accesses: usize,
-    /// Access counter driving the epoch clock.
-    accesses: AtomicU64,
+    /// The facade's epoch clock, `Some` only when epochs are on: every
+    /// access event bumps it (see the module docs for the participation
+    /// rule). `None` keeps every access free of the shared RMW.
+    epoch_clock: Option<StdArc<AtomicU64>>,
     /// Shared handle to the policy table's per-frame atomic ref/recency
     /// words — the lock-free half of the hit fast path. Cloned out of the
     /// policy once at construction; live policy migration carries the
@@ -377,10 +384,6 @@ struct Shard {
     /// through the ring — the pre-fast-path reference behavior, kept for
     /// differential tests and as the bench baseline.
     eager: bool,
-    /// Minimum quota the adaptive tuner may shrink any app to (validated
-    /// here — the manager owns the charge ledger — as the backstop behind
-    /// the tuner's own clamp).
-    quota_floor: usize,
     /// Leaf lock, cooperative authoritative mode only: keys evicted or
     /// invalidated since the last [`BufferManager::take_evicted`] drain.
     /// The cache module turns the drained batch into directory-removal
@@ -396,30 +399,26 @@ struct Shard {
     /// never-taken branch).
     obs: Option<ManagerObs>,
     stats: AtomicStats,
-    /// `Some` when a sharded facade coordinates epochs (N > 1): every
-    /// access event bumps this facade-shared clock instead of running
-    /// the in-shard epoch boundary. `None` (N = 1) keeps the exact
-    /// in-shard epoch path, byte-for-byte the pre-sharding behavior.
-    shared_clock: Option<StdArc<AtomicU64>>,
 }
 
 /// The shared, finely-locked block cache — a facade over `N` independent
-/// [`Shard`]s (see [`BufferManagerBuilder::shards`]; the default of 1
-/// preserves the historical single-pool behavior exactly).
+/// [`Shard`]s (see [`BufferManagerBuilder::shards`]; the default of 1 is
+/// the historical single pool).
 ///
 /// The facade itself holds **no locks**: routing is a pure hash, the
 /// aggregate counters are sums over shard-local atomics, and the only
 /// facade-owned mutable state is the lock-free epoch clock/gate pair
 /// below. Cross-shard coordination happens in exactly two places:
 ///
-/// * **Epoch boundaries** (N > 1): shards feed one shared access clock;
-///   when it crosses `epoch_accesses` the thread that trips the gate
-///   collects each shard's [`EpochObservation`], merges the ghost and
-///   refault ledgers, makes ONE switch/quota decision over the merged
-///   evidence (`kcache-adaptive`'s shared decision rules), and applies
-///   the resulting [`EpochDirective`] to every shard — so an adaptive
-///   switch migrates all shards atomically with respect to epochs and
-///   no shard can disagree about the live policy.
+/// * **Epoch boundaries** (every N, when epochs are on): shards feed one
+///   shared access clock; when it crosses `epoch_accesses` the thread
+///   that trips the gate collects each shard's [`EpochObservation`],
+///   merges the ghost and refault ledgers, makes ONE switch/quota
+///   decision over the merged evidence (`kcache-adaptive`'s
+///   `decide_epoch`), and applies the resulting [`EpochDirective`] to
+///   every shard — so an adaptive switch migrates all shards atomically
+///   with respect to epochs and no shard can disagree about the live
+///   policy.
 /// * **Strict-quota spill**: per-shard strict quotas are the global
 ///   quota split across shards. When an app's traffic hashes unevenly
 ///   its home shard may fill while a sibling's slice idles; before a
@@ -434,10 +433,11 @@ pub struct BufferManager {
     /// The *global* partition config (shards hold their split slices).
     partitioning: PartitionConfig,
     adaptive_cfg: Option<AdaptiveConfig>,
+    /// Accesses (hits + misses + probes + touches) per epoch; 0 disables
+    /// epochs.
     epoch_accesses: usize,
-    quota_floor: usize,
-    /// N > 1 only: accesses across all shards since construction (the
-    /// shards bump it; see [`Shard::shared_clock`]).
+    /// Accesses across all shards since construction (the shards bump
+    /// it, and only when epochs are on; see [`Shard::epoch_clock`]).
     epoch_clock: StdArc<AtomicU64>,
     /// Coordinated epoch boundaries already run.
     epoch_marks: AtomicU64,
@@ -588,8 +588,7 @@ impl BufferManagerBuilder {
         assert!(n_shards <= capacity, "more shards than frames");
         assert!(low_watermark <= high_watermark && high_watermark <= capacity);
         partitioning.validate(capacity).unwrap_or_else(|e| panic!("bad partitioning: {e}"));
-        let quota_floor = adaptive.as_ref().map_or(1, |a| a.quota_floor.max(1));
-        let shared_clock = (n_shards > 1).then(|| StdArc::new(AtomicU64::new(0)));
+        let epoch_clock = StdArc::new(AtomicU64::new(0));
         let caps = split_units(capacity, n_shards);
         let lows = split_units(low_watermark, n_shards);
         let highs = split_units(high_watermark, n_shards);
@@ -616,12 +615,10 @@ impl BufferManagerBuilder {
                     high_watermark: highs[i],
                     partitioning: part,
                     adaptive: adaptive.clone(),
-                    epoch_accesses,
                     eager,
                     cooperative,
                     obs: obs.clone(),
-                    quota_floor,
-                    shared_clock: shared_clock.clone(),
+                    epoch_clock: (epoch_accesses > 0).then(|| epoch_clock.clone()),
                 })
             })
             .collect();
@@ -632,8 +629,7 @@ impl BufferManagerBuilder {
             partitioning,
             adaptive_cfg: adaptive,
             epoch_accesses,
-            quota_floor,
-            epoch_clock: shared_clock.unwrap_or_else(|| StdArc::new(AtomicU64::new(0))),
+            epoch_clock,
             epoch_marks: AtomicU64::new(0),
             epoch_gate: AtomicBool::new(false),
         }
@@ -657,12 +653,10 @@ struct ShardParams {
     high_watermark: usize,
     partitioning: PartitionConfig,
     adaptive: Option<AdaptiveConfig>,
-    epoch_accesses: usize,
     eager: bool,
     cooperative: Option<CooperativeConfig>,
     obs: Option<(StdArc<ObsHub>, u32)>,
-    quota_floor: usize,
-    shared_clock: Option<StdArc<AtomicU64>>,
+    epoch_clock: Option<StdArc<AtomicU64>>,
 }
 
 impl Shard {
@@ -674,12 +668,10 @@ impl Shard {
             high_watermark,
             partitioning,
             adaptive,
-            epoch_accesses,
             eager,
             cooperative,
             obs,
-            quota_floor,
-            shared_clock,
+            epoch_clock,
         } = params;
         debug_assert!(capacity > 0);
         debug_assert!(low_watermark <= high_watermark && high_watermark <= capacity);
@@ -730,8 +722,7 @@ impl Shard {
             policy: Mutex::new(ranked),
             charges: Mutex::new(HashMap::new()),
             tuned_quotas: Mutex::new(HashMap::new()),
-            epoch_accesses,
-            accesses: AtomicU64::new(0),
+            epoch_clock,
             ref_words,
             ring: EventRing::new(),
             count_only_unattributed,
@@ -739,12 +730,10 @@ impl Shard {
             pending_hits: AtomicU64::new(0),
             pending_misses: AtomicU64::new(0),
             eager,
-            quota_floor,
             evicted_log: track_evictions.then(|| Mutex::new(Vec::new())),
             duplicate_hints: singleton.then(|| Mutex::new(std::collections::HashSet::new())),
             obs,
             stats: AtomicStats::default(),
-            shared_clock,
         }
     }
 
@@ -962,177 +951,42 @@ impl Shard {
         self.note_epoch_access();
     }
 
-    /// The epoch clock: every `epoch_accesses` access events (hits,
+    /// Advance the facade's epoch clock by one access event (hits,
     /// misses, probe hits, recency touches — see the module docs for the
-    /// participation rule), drive one policy `epoch_tick` (adaptive
-    /// switch decisions, `SharingAware` referent decay) and apply any
-    /// quota updates the tick recommends. The ring is drained before the
-    /// tick so the decision sees every access that preceded the epoch
-    /// boundary. Locks are taken one at a time (policy, then
-    /// tuned_quotas — both leaves), never nested.
+    /// participation rule); the facade runs the boundary once the access
+    /// returns. No-op, and no RMW, when epochs are off.
     fn note_epoch_access(&self) {
-        // Sharded facade (N > 1): this shard does not run epochs itself —
-        // it feeds the facade's shared clock and the facade coordinates
-        // one cross-shard boundary when the clock crosses the threshold.
-        if let Some(clock) = &self.shared_clock {
+        if let Some(clock) = &self.epoch_clock {
             clock.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        if self.epoch_accesses == 0 {
-            return;
-        }
-        let n = self.accesses.fetch_add(1, Ordering::Relaxed) + 1;
-        if !n.is_multiple_of(self.epoch_accesses as u64) {
-            return;
-        }
-        self.epoch_tick_local();
-        if self.obs.is_some() {
-            let usage = self.app_usage();
-            let quotas: Vec<(AppId, usize)> =
-                usage.iter().filter_map(|&(app, _)| self.quota_of(app).map(|q| (app, q))).collect();
-            let ast = self.adaptive_stats();
-            self.obs_epoch_mark(n, &usage, &quotas, ast.as_ref());
         }
     }
 
-    /// One shard-local epoch tick: drain, let the policy decide
-    /// (adaptive switch, `SharingAware` decay), validate and apply any
-    /// quota updates it recommends. Runs from the in-shard clock (N = 1)
-    /// or per shard from the facade's coordinated boundary when no
-    /// adaptive meta-policy needs cross-shard merging (static policies
-    /// age independently — there is no shared decision to coordinate).
+    /// Static-policy epoch tick: drain, so the tick follows every access
+    /// that preceded the boundary, then age (`SharingAware` referent
+    /// decay). Adaptive shards age inside `epoch_apply` instead.
     fn epoch_tick_local(&self) {
-        let quotas: Vec<(AppId, usize)> = if self.partitioning.mode == PartitionMode::Shared {
-            Vec::new()
-        } else {
-            self.partitioning
-                .quotas
-                .keys()
-                .filter_map(|&id| self.quota_of(AppId(id)).map(|q| (AppId(id), q)))
-                .collect()
-        };
-        let updates = {
-            let mut p = self.policy.lock();
-            self.drain_locked(&mut p);
-            p.epoch_tick(&quotas)
-        };
-        if !updates.is_empty() {
-            // The tuner redistributes existing partitions; it may never
-            // invent a quota, shrink one below the fairness floor, or
-            // exceed the pool — and a transfer applies in full or not at
-            // all (applying only one side of a grow/shrink pair would
-            // leak total quota).
-            let valid = updates.iter().all(|u| {
-                u.app != AppId::UNKNOWN
-                    && u.quota >= 1
-                    && u.quota <= self.capacity
-                    && self.partitioning.quotas.contains_key(&u.app.0)
-                    // The fairness floor bounds how far a quota may be
-                    // *shrunk*; an app whose configured quota starts
-                    // below the floor may still grow toward it (a veto
-                    // here would kill the whole transfer pair and leave
-                    // the tuner permanently dead for such configs).
-                    && (u.quota >= self.quota_floor
-                        || self.quota_of(u.app).is_some_and(|cur| u.quota >= cur))
-            });
-            if valid {
-                let mut tuned = self.tuned_quotas.lock();
-                for u in updates {
-                    tuned.insert(u.app.0, u.quota);
-                }
-            }
-        }
+        let mut p = self.policy.lock();
+        self.drain_locked(&mut p);
+        p.epoch_tick();
     }
 
-    /// Facade coordination, step 1 (adaptive, N > 1): drain this shard's
-    /// deferred events and export its epoch observation — the live
-    /// policy, each candidate ghost's per-epoch ledger, each app's
-    /// refault count. `None` for static policies.
+    /// Epoch boundary, step 1 (adaptive): drain this shard's deferred
+    /// events and export its epoch observation — the live policy, each
+    /// candidate ghost's per-epoch ledger, each app's refault count.
+    /// `None` for static policies.
     fn epoch_observe(&self) -> Option<EpochObservation> {
         let mut p = self.policy.lock();
         self.drain_locked(&mut p);
         p.epoch_observe()
     }
 
-    /// Facade coordination, step 2 (adaptive, N > 1): apply the merged
-    /// cross-shard decision — every shard receives the same directive,
-    /// so a policy switch migrates all shards within one boundary.
+    /// Epoch boundary, step 2 (adaptive): apply the merged decision —
+    /// every shard receives the same directive, so a policy switch
+    /// migrates all shards within one boundary.
     fn epoch_apply_directive(&self, directive: &EpochDirective) {
         let mut p = self.policy.lock();
         self.drain_locked(&mut p);
         p.epoch_apply(directive);
-    }
-
-    /// Epoch-boundary observability (cold path, obs-wired managers only):
-    /// close the hub's metric window, refresh the per-app occupancy and
-    /// ghost-rate gauges, and emit adaptive controller decisions logged
-    /// since the last boundary as trace events — the manager diffs the
-    /// switch/quota-move ledgers here so `kcache-adaptive` itself stays
-    /// free of any obs dependency. Each decision event carries its
-    /// *reason* as args: the deciding ghost hit rates for a policy
-    /// switch, the winning/losing refault counts for a quota move.
-    ///
-    /// Usage, quota gauges and adaptive stats come in as arguments so the
-    /// sharded facade can pass *merged* cross-shard views — a shard
-    /// publishing only its own slice would clobber the global gauges with
-    /// a partial picture.
-    fn obs_epoch_mark(
-        &self,
-        access_n: u64,
-        usage: &[(AppId, AppUsage)],
-        quota_gauges: &[(AppId, usize)],
-        ast: Option<&AdaptiveStats>,
-    ) {
-        let Some(o) = &self.obs else { return };
-        // Sync the deferred hit/miss mirrors *before* closing the metric
-        // window, so each epoch delta carries exactly its own accesses.
-        self.obs_sync_counts(o);
-        o.hub.mark_epoch();
-        let epoch = access_n / self.epoch_accesses as u64;
-        o.hub.instant(o.ev_epoch_tick, o.node, 0, epoch, access_n);
-        let reg = o.hub.registry();
-        for (app, u) in usage {
-            reg.gauge(&format!("app.{}.resident", app.0)).set(u.resident);
-            reg.gauge(&format!("app.{}.hits", app.0)).set(u.hits);
-            reg.gauge(&format!("app.{}.misses", app.0)).set(u.misses);
-        }
-        for (app, q) in quota_gauges {
-            reg.gauge(&format!("app.{}.quota", app.0)).set(*q as u64);
-        }
-        let Some(ast) = ast else {
-            return;
-        };
-        for g in &ast.ghost_rates {
-            // Basis points: gauges are integers, rates are 0.0..=1.0.
-            reg.gauge(&format!("ghost.{}.rate_bp", g.kind.name()))
-                .set((g.rate() * 10_000.0) as u64);
-        }
-        let seen = o.switch_seen.load(Ordering::Relaxed) as usize;
-        for rec in ast.switch_log.iter().skip(seen) {
-            let id = o.hub.intern(
-                &format!("policy_switch {}->{}", rec.from.name(), rec.to.name()),
-                Some("from_rate_bp"),
-                Some("to_rate_bp"),
-            );
-            o.hub.instant(
-                id,
-                o.node,
-                0,
-                (rec.from_rate * 10_000.0) as u64,
-                (rec.to_rate * 10_000.0) as u64,
-            );
-        }
-        o.switch_seen.store(ast.switch_log.len() as u64, Ordering::Relaxed);
-        let seen = o.quota_seen.load(Ordering::Relaxed) as usize;
-        for rec in ast.quota_log.iter().skip(seen) {
-            let id = o.hub.intern(
-                &format!("quota_move app{}->app{} x{}", rec.from.0, rec.to.0, rec.frames),
-                Some("from_refaults"),
-                Some("to_refaults"),
-            );
-            o.hub.instant(id, o.node, 0, rec.from_refaults, rec.to_refaults);
-        }
-        o.quota_seen.store(ast.quota_log.len() as u64, Ordering::Relaxed);
     }
 
     /// Recency-only refresh (no hit/miss ledger): sync-write refreshes,
@@ -2163,9 +2017,6 @@ impl BufferManager {
     /// shards (ascending by app id; apps appear once they have touched
     /// the cache anywhere).
     pub fn app_usage(&self) -> Vec<(AppId, AppUsage)> {
-        if self.shards.len() == 1 {
-            return self.shards[0].app_usage();
-        }
         let mut merged: BTreeMap<u32, AppUsage> = BTreeMap::new();
         for s in self.shards.iter() {
             for (app, u) in s.app_usage() {
@@ -2477,13 +2328,11 @@ impl BufferManager {
         self.shards.iter().flat_map(|s| s.take_evicted()).collect()
     }
 
-    /// Run any due coordinated epoch boundary (N > 1 only; with a single
-    /// shard the shard runs its own exact in-shard epoch path). The CAS
-    /// gate admits exactly one thread per boundary; latecomers return
-    /// immediately — the boundary they observed due is already being
-    /// handled.
+    /// Run any due epoch boundary. The CAS gate admits exactly one
+    /// thread per boundary; latecomers return immediately — the boundary
+    /// they observed due is already being handled.
     fn maybe_epoch(&self) {
-        if self.shards.len() == 1 || self.epoch_accesses == 0 {
+        if self.epoch_accesses == 0 {
             return;
         }
         let ea = self.epoch_accesses as u64;
@@ -2510,113 +2359,133 @@ impl BufferManager {
         }
     }
 
-    /// One coordinated cross-shard epoch boundary.
+    /// One epoch boundary — the only epoch path, at every shard count
+    /// (one shard is a merge over one).
     ///
     /// Adaptive: collect each shard's [`EpochObservation`], merge the
     /// ghost and refault ledgers, make ONE switch/quota decision over the
-    /// merged evidence with the same shared rules the single-shard path
-    /// uses (`kcache-adaptive`'s `decide_switch` / `decide_quota_move`),
-    /// and push the identical [`EpochDirective`] into every shard — a
-    /// switch therefore migrates all shards within one boundary and no
-    /// shard can disagree about the live policy. A quota transfer is
-    /// validated globally (the same backstop rules as the in-shard path)
-    /// and re-split across shards.
+    /// merged evidence (`kcache-adaptive`'s `decide_epoch`), and push the
+    /// identical [`EpochDirective`] into every shard — a switch therefore
+    /// migrates all shards within one boundary and no shard can disagree
+    /// about the live policy. A quota transfer is validated here, where
+    /// the charge ledger lives, and re-split across shards.
     ///
     /// Static: policies age independently — each shard runs its own
-    /// local tick (`SharingAware` referent decay etc.); there is no
-    /// shared decision to coordinate.
-    fn run_epoch_boundary(&self, epoch_n: u64) {
-        match &self.adaptive_cfg {
-            Some(cfg) => {
-                let mut merged: Option<EpochObservation> = None;
-                for s in self.shards.iter() {
-                    if let Some(obs) = s.epoch_observe() {
-                        match &mut merged {
-                            Some(m) => m.merge(&obs),
-                            None => merged = Some(obs),
-                        }
-                    }
-                }
-                let Some(merged) = merged else { return };
-                let live = merged.live.unwrap_or(self.policy_cfg.kind);
-                let switch_to = decide_switch(&merged.ghost_epoch, live, cfg.hysteresis);
-                let mut quota_move = None;
-                let mut new_quotas: Option<[(AppId, usize); 2]> = None;
-                if cfg.quota_tuning && self.partitioning.mode != PartitionMode::Shared {
-                    let global_quotas: Vec<(AppId, usize)> = self
-                        .partitioning
-                        .quotas
-                        .keys()
-                        .filter_map(|&id| self.quota_of(AppId(id)).map(|q| (AppId(id), q)))
-                        .collect();
-                    if let Some(mv) = decide_quota_move(
-                        &global_quotas,
-                        &merged.refaults,
-                        self.capacity,
-                        cfg.quota_step,
-                        cfg.quota_floor.max(1),
-                    ) {
-                        // The same backstop validation the in-shard path
-                        // applies (all-or-nothing: a half-applied pair
-                        // would leak quota).
-                        let valid = [(mv.winner, mv.winner_quota), (mv.loser, mv.loser_quota)]
-                            .iter()
-                            .all(|&(app, q)| {
-                                app != AppId::UNKNOWN
-                                    && q >= 1
-                                    && q <= self.capacity
-                                    && self.partitioning.quotas.contains_key(&app.0)
-                                    && (q >= self.quota_floor
-                                        || self.quota_of(app).is_some_and(|cur| q >= cur))
-                            });
-                        if valid {
-                            quota_move = Some((
-                                mv.loser,
-                                mv.winner,
-                                mv.frames,
-                                mv.loser_refaults,
-                                mv.winner_refaults,
-                            ));
-                            new_quotas =
-                                Some([(mv.winner, mv.winner_quota), (mv.loser, mv.loser_quota)]);
-                        }
-                    }
-                }
-                let directive = EpochDirective { switch_to, quota_move };
-                for s in self.shards.iter() {
-                    s.epoch_apply_directive(&directive);
-                }
-                if let Some(pairs) = new_quotas {
-                    for (app, q) in pairs {
-                        let split = split_units(q, self.shards.len());
-                        for (s, &slice) in self.shards.iter().zip(&split) {
-                            s.set_tuned_quota(app, slice);
-                        }
-                    }
-                }
+    /// aging tick (`SharingAware` referent decay); there is no shared
+    /// decision to coordinate.
+    fn run_epoch_boundary(&self, epoch: u64) {
+        let Some(cfg) = &self.adaptive_cfg else {
+            for s in self.shards.iter() {
+                s.epoch_tick_local();
             }
-            None => {
-                for s in self.shards.iter() {
-                    s.epoch_tick_local();
-                }
+            self.obs_epoch_mark(epoch);
+            return;
+        };
+        let mut obs = EpochObservation::default();
+        for s in self.shards.iter() {
+            if let Some(o) = s.epoch_observe() {
+                obs.merge(&o);
             }
         }
-        // Observability: one coordinated mark with *merged* cross-shard
-        // views (shard 0's hub handles speak for the node), plus the
-        // per-shard balance gauges.
-        if self.shards[0].obs.is_some() {
-            let usage = self.app_usage();
-            let quota_gauges: Vec<(AppId, usize)> =
-                usage.iter().filter_map(|&(a, _)| self.quota_of(a).map(|q| (a, q))).collect();
-            let ast = self.adaptive_stats();
-            self.shards[0].obs_epoch_mark(
-                epoch_n * self.epoch_accesses as u64,
-                &usage,
-                &quota_gauges,
-                ast.as_ref(),
+        let quotas: Vec<(AppId, usize)> = self
+            .partitioning
+            .quotas
+            .keys()
+            .filter_map(|&id| self.quota_of(AppId(id)).map(|q| (AppId(id), q)))
+            .collect();
+        let (mut directive, mut new_quotas) = decide_epoch(cfg, &obs, &quotas, self.capacity);
+        // The backstop behind the tuner's own clamps: a transfer may never
+        // invent a quota, exceed the pool, or shrink an app below the
+        // fairness floor — and it applies in full or not at all (a
+        // half-applied pair would leak quota). An app whose configured
+        // quota starts below the floor may still grow toward it (a veto
+        // would kill the pair and leave the tuner dead for such configs).
+        let floor = cfg.quota_floor.max(1);
+        let valid = |&(app, q): &(AppId, usize)| {
+            app != AppId::UNKNOWN
+                && q >= 1
+                && q <= self.capacity
+                && self.partitioning.quotas.contains_key(&app.0)
+                && (q >= floor || self.quota_of(app).is_some_and(|cur| q >= cur))
+        };
+        if !new_quotas.is_some_and(|pair| pair.iter().all(valid)) {
+            directive.quota_move = None;
+            new_quotas = None;
+        }
+        for s in self.shards.iter() {
+            s.epoch_apply_directive(&directive);
+        }
+        for (app, q) in new_quotas.into_iter().flatten() {
+            for (s, slice) in self.shards.iter().zip(split_units(q, self.shards.len())) {
+                s.set_tuned_quota(app, slice);
+            }
+        }
+        self.obs_epoch_mark(epoch);
+    }
+
+    /// Epoch-boundary observability (cold path, obs-wired managers only):
+    /// close the hub's metric window, refresh the per-app occupancy,
+    /// quota and ghost-rate gauges from the merged cross-shard views
+    /// (shard 0's hub handles speak for the node) plus the per-shard
+    /// balance gauges, and emit adaptive controller decisions logged
+    /// since the last boundary as trace events — the manager diffs the
+    /// switch/quota-move ledgers here so `kcache-adaptive` itself stays
+    /// free of any obs dependency. Each decision event carries its
+    /// *reason* as args: the deciding ghost hit rates for a policy
+    /// switch, the winning/losing refault counts for a quota move.
+    fn obs_epoch_mark(&self, epoch: u64) {
+        let Some(o) = &self.shards[0].obs else { return };
+        // Sync the deferred hit/miss mirrors *before* closing the metric
+        // window, so each epoch delta carries exactly its own accesses.
+        for s in self.shards.iter() {
+            s.obs_flush();
+        }
+        o.hub.mark_epoch();
+        o.hub.instant(o.ev_epoch_tick, o.node, 0, epoch, epoch * self.epoch_accesses as u64);
+        self.publish_shard_gauges();
+        let reg = o.hub.registry();
+        for (app, u) in self.app_usage() {
+            reg.gauge(&format!("app.{}.resident", app.0)).set(u.resident);
+            reg.gauge(&format!("app.{}.hits", app.0)).set(u.hits);
+            reg.gauge(&format!("app.{}.misses", app.0)).set(u.misses);
+            if let Some(q) = self.quota_of(app) {
+                reg.gauge(&format!("app.{}.quota", app.0)).set(q as u64);
+            }
+        }
+        let Some(ast) = self.adaptive_stats() else {
+            return;
+        };
+        for g in &ast.ghost_rates {
+            // Basis points: gauges are integers, rates are 0.0..=1.0.
+            reg.gauge(&format!("ghost.{}.rate_bp", g.kind.name()))
+                .set((g.rate() * 10_000.0) as u64);
+        }
+        let seen = o.switch_seen.load(Ordering::Relaxed) as usize;
+        for rec in ast.switch_log.iter().skip(seen) {
+            let id = o.hub.intern(
+                &format!("policy_switch {}->{}", rec.from.name(), rec.to.name()),
+                Some("from_rate_bp"),
+                Some("to_rate_bp"),
             );
-            self.publish_shard_gauges();
+            o.hub.instant(
+                id,
+                o.node,
+                0,
+                (rec.from_rate * 10_000.0) as u64,
+                (rec.to_rate * 10_000.0) as u64,
+            );
         }
+        o.switch_seen.store(ast.switch_log.len() as u64, Ordering::Relaxed);
+        let seen = o.quota_seen.load(Ordering::Relaxed) as usize;
+        for rec in ast.quota_log.iter().skip(seen) {
+            let id = o.hub.intern(
+                &format!("quota_move app{}->app{} x{}", rec.from.0, rec.to.0, rec.frames),
+                Some("from_refaults"),
+                Some("to_refaults"),
+            );
+            o.hub.instant(id, o.node, 0, rec.from_refaults, rec.to_refaults);
+        }
+        o.quota_seen.store(ast.quota_log.len() as u64, Ordering::Relaxed);
     }
 }
 
@@ -3340,6 +3209,36 @@ mod tests {
         assert_eq!(m.adaptive_stats().unwrap().epochs, 2);
     }
 
+    /// With epochs off no access path touches the shared epoch clock, at
+    /// any shard count — hits, misses, probe hits and misses, touches,
+    /// write merges and sync-write refreshes all leave it at zero, so an
+    /// epoch-free manager pays no cross-shard RMW per access. The same
+    /// traffic with epochs on does advance it (the check can fail).
+    #[test]
+    fn epochs_off_leave_the_epoch_clock_untouched() {
+        let drive = |epoch_accesses: usize| {
+            let m = BufferManager::builder(16).shards(2).epoch_accesses(epoch_accesses).build();
+            let mut buf = vec![0u8; 4096];
+            for b in 0..40u64 {
+                let k = key(b % 24);
+                let app = AppId((b % 2) as u32);
+                m.try_read_by(k, Span::FULL, &mut buf, app);
+                m.insert_clean_by(k, NodeId(0), Span::FULL, &full_block(b as u8), app);
+                m.try_read_by(k, Span::FULL, &mut buf, app);
+                m.probe_by(k, Span::FULL, app);
+                m.probe_by(key(1000 + b), Span::FULL, app);
+                m.note_access(k, AppId(1 - app.0));
+                m.write_by(k, NodeId(0), Span::FULL, &full_block(1), app);
+                m.update_if_present(k, Span::FULL, &full_block(2));
+            }
+            let st = m.stats();
+            assert!(st.hits > 0 && st.misses > 0, "the trace must hit and miss");
+            m.epoch_clock.load(Ordering::Relaxed)
+        };
+        assert_eq!(drive(0), 0, "epochs off: the clock must never advance");
+        assert!(drive(1 << 20) > 0, "epochs on: every access advances the clock");
+    }
+
     /// The tentpole differential: the drained side-buffer path must be
     /// observation-equivalent to the eager apply-under-the-lock path
     /// under a single thread — identical resident sets after every step
@@ -3808,87 +3707,221 @@ mod tests {
         }
     }
 
-    /// The sharding differential: a `.shards(1)` manager IS the
-    /// unsharded manager — same single `Shard`, `shared_clock` absent,
-    /// the exact in-shard epoch path — so two identically-configured
-    /// builds must replay a mixed trace byte-for-byte, across every
-    /// policy, static and adaptive ranking, and every partition mode.
-    #[test]
-    fn shards_one_matches_unsharded_reference() {
+    /// FNV-1a, folded into `h`: a digest that (unlike `DefaultHasher`)
+    /// is specified, so committed golden values stay valid across
+    /// toolchains.
+    fn fnv(h: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// The N = 1 golden grid: every policy × {static, single-candidate
+    /// adaptive (tuner off), `[Clock, Lfu, SharingAware]` adaptive (tuner
+    /// on)} × {shared, strict, soft}, 8 frames, 32-access epochs.
+    fn golden_grid() -> Vec<(String, BufferManagerBuilder)> {
+        let mut grid = Vec::new();
         for kind in PolicyKind::ALL {
-            for adaptive in
-                [None, Some(AdaptiveConfig { quota_tuning: false, ..AdaptiveConfig::new([kind]) })]
-            {
-                for part in [
-                    crate::config::PartitionConfig::shared(),
-                    crate::config::PartitionConfig::strict([(0, 4), (1, 4)]),
-                    crate::config::PartitionConfig::soft([(0, 4), (1, 4)]),
+            let variants = [
+                ("static", None),
+                (
+                    "single",
+                    Some(AdaptiveConfig { quota_tuning: false, ..AdaptiveConfig::new([kind]) }),
+                ),
+                (
+                    "multi",
+                    Some(AdaptiveConfig::new([
+                        PolicyKind::Clock,
+                        PolicyKind::Lfu,
+                        PolicyKind::SharingAware,
+                    ])),
+                ),
+            ];
+            for (variant, adaptive) in variants {
+                for (mode, part) in [
+                    ("shared", crate::config::PartitionConfig::shared()),
+                    ("strict", crate::config::PartitionConfig::strict([(0, 4), (1, 4)])),
+                    ("soft", crate::config::PartitionConfig::soft([(0, 4), (1, 4)])),
                 ] {
-                    let build = |shards: Option<usize>| {
-                        let mut b = BufferManager::builder(8)
-                            .policy(EvictPolicy::of(kind))
-                            .watermarks(0, 2)
-                            .partitioning(part.clone())
-                            .adaptive(adaptive.clone())
-                            .epoch_accesses(32);
-                        if let Some(n) = shards {
-                            b = b.shards(n);
-                        }
-                        b.build()
-                    };
-                    let reference = build(None);
-                    let sharded = build(Some(1));
-                    let mut buf = vec![0u8; 4096];
-                    for step in 0..600u64 {
-                        let k = key((step * 7919) % 19);
-                        let app = AppId((step % 2) as u32);
-                        match step % 5 {
-                            0 | 3 => {
-                                let a = reference.try_read_by(k, Span::FULL, &mut buf, app);
-                                let b = sharded.try_read_by(k, Span::FULL, &mut buf, app);
-                                assert_eq!(a, b, "{kind} step {step}: read outcome diverged");
-                            }
-                            1 => {
-                                let a =
-                                    reference.insert_clean_by(k, NodeId(0), Span::FULL, &buf, app);
-                                let b =
-                                    sharded.insert_clean_by(k, NodeId(0), Span::FULL, &buf, app);
-                                assert_eq!(
-                                    a.is_some(),
-                                    b.is_some(),
-                                    "{kind} step {step}: insert flush diverged"
-                                );
-                            }
-                            2 => {
-                                let a = reference.write_by(k, NodeId(0), Span::FULL, &buf, app);
-                                let b = sharded.write_by(k, NodeId(0), Span::FULL, &buf, app);
-                                assert_eq!(a, b, "{kind} step {step}: write outcome diverged");
-                            }
-                            _ => {
-                                for it in reference.take_dirty(2) {
-                                    reference.flush_complete(it.key, it.span);
-                                }
-                                for it in sharded.take_dirty(2) {
-                                    sharded.flush_complete(it.key, it.span);
-                                }
-                            }
-                        }
-                        assert_eq!(
-                            reference.resident_keys(),
-                            sharded.resident_keys(),
-                            "{kind} step {step}: resident sets diverged"
-                        );
-                    }
-                    let (a, b) = (reference.stats(), sharded.stats());
-                    assert_eq!((a.hits, a.misses), (b.hits, b.misses), "{kind}: ledgers diverged");
-                    let (pa, pb) = (reference.policy_stats(), sharded.policy_stats());
-                    assert_eq!(
-                        (pa.hits, pa.misses, pa.evictions_clean, pa.evictions_dirty),
-                        (pb.hits, pb.misses, pb.evictions_clean, pb.evictions_dirty),
-                        "{kind}: policy ledgers diverged"
-                    );
+                    let b = BufferManager::builder(8)
+                        .policy(EvictPolicy::of(kind))
+                        .watermarks(0, 2)
+                        .partitioning(part)
+                        .adaptive(adaptive.clone())
+                        .epoch_accesses(32);
+                    grid.push((format!("{kind}/{variant}/{mode}"), b));
                 }
             }
+        }
+        grid
+    }
+
+    /// Replay the golden trace — reads, clean installs, write-behind,
+    /// probes, multi-app touches and flush round trips over 19 keys and
+    /// two apps — and return a digest of every step's outcome and
+    /// resident set plus a rendering of the final ledgers: cache and
+    /// policy stats, per-app usage and quotas, and the adaptive epoch,
+    /// switch and quota-move logs.
+    fn golden_trace(m: &BufferManager) -> (u64, String) {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut buf = vec![0u8; 4096];
+        for step in 0..600u64 {
+            let k = key((step * 7919) % 19);
+            let app = AppId((step % 2) as u32);
+            let outcome = match step % 5 {
+                0 | 3 => u64::from(m.try_read_by(k, Span::FULL, &mut buf, app)),
+                1 => u64::from(m.insert_clean_by(k, NodeId(0), Span::FULL, &buf, app).is_some()),
+                2 => u64::from(
+                    m.write_by(k, NodeId(0), Span::FULL, &buf, app) == WriteOutcome::Absorbed,
+                ),
+                _ => {
+                    let probed = u64::from(m.probe_by(k, Span::FULL, app));
+                    m.note_access(k, AppId(1 - app.0));
+                    let items = m.take_dirty(2);
+                    for it in &items {
+                        m.flush_complete(it.key, it.span);
+                        fnv(&mut h, &it.key.blk.to_le_bytes());
+                    }
+                    probed | (items.len() as u64) << 1
+                }
+            };
+            fnv(&mut h, &outcome.to_le_bytes());
+            for rk in m.resident_keys() {
+                fnv(&mut h, &rk.blk.to_le_bytes());
+            }
+            fnv(&mut h, b";");
+        }
+        let c = m.stats();
+        let p = m.policy_stats();
+        let mut s = format!(
+            "c{}/{}/{}/{}/{}/{}/{}/{}/{}/{} p{}/{}/{}/{}/{}/{}/{} q{:?}/{:?}",
+            c.hits,
+            c.misses,
+            c.insertions,
+            c.writes_absorbed,
+            c.writes_passthrough,
+            c.evictions_clean,
+            c.evictions_dirty,
+            c.flush_blocks,
+            c.invalidated,
+            c.invalidated_dirty,
+            p.hits,
+            p.misses,
+            p.inserts,
+            p.removes,
+            p.evictions_clean,
+            p.evictions_dirty,
+            p.scans,
+            m.quota_of(AppId(0)),
+            m.quota_of(AppId(1)),
+        );
+        for (app, u) in m.app_usage() {
+            s += &format!(" u{}:{}/{}/{}/{}", app.0, u.resident, u.hits, u.misses, u.evictions);
+        }
+        if let Some(a) = m.adaptive_stats() {
+            s += &format!(" e{} s{}", a.epochs, a.switches);
+            for r in &a.switch_log {
+                s += &format!(
+                    " {}:{}>{}@{:.6}/{:.6}",
+                    r.epoch,
+                    r.from.name(),
+                    r.to.name(),
+                    r.from_rate,
+                    r.to_rate
+                );
+            }
+            s += &format!(" m{}", a.quota_moves);
+            for r in &a.quota_log {
+                s += &format!(
+                    " {}:{}>{}x{}({}/{})",
+                    r.epoch, r.from.0, r.to.0, r.frames, r.from_refaults, r.to_refaults
+                );
+            }
+        }
+        (h, s)
+    }
+
+    /// N = 1 golden outcomes of [`golden_grid`] under [`golden_trace`],
+    /// recorded from the manager before epochs had one path: at N = 1 a
+    /// shard then ran its own epoch clock and tick inside the access, with
+    /// its own copy of the quota-move validation, independent of the
+    /// facade's coordinated boundary. Row: config label, digest of every
+    /// step's outcome and resident set, final ledgers.
+    #[rustfmt::skip]
+    const GOLDEN_N1: [(&str, u64, &str); 54] = [
+        ("clock/static/shared", 0x052f8ce609bca486, "c29/331/124/120/0/116/0/120/0/0 p29/331/124/116/116/0/116 qNone/None u0:4/29/151/58 u1:4/0/180/58"),
+        ("clock/static/strict", 0xba447cea1405d104, "c89/271/176/120/0/168/0/120/0/0 p89/271/176/168/168/0/168 qSome(4)/Some(4) u0:4/44/136/82 u1:4/45/135/86"),
+        ("clock/static/soft", 0xba447cea1405d104, "c89/271/176/120/0/168/0/120/0/0 p89/271/176/168/168/0/168 qSome(4)/Some(4) u0:4/44/136/82 u1:4/45/135/86"),
+        ("clock/single/shared", 0x052f8ce609bca486, "c29/331/124/120/0/116/0/120/0/0 p29/331/124/116/116/0/116 qNone/None u0:4/29/151/58 u1:4/0/180/58 e14 s0 m0"),
+        ("clock/single/strict", 0xba447cea1405d104, "c89/271/176/120/0/168/0/120/0/0 p89/271/176/168/168/0/168 qSome(4)/Some(4) u0:4/44/136/82 u1:4/45/135/86 e14 s0 m0"),
+        ("clock/single/soft", 0xba447cea1405d104, "c89/271/176/120/0/168/0/120/0/0 p89/271/176/168/168/0/168 qSome(4)/Some(4) u0:4/44/136/82 u1:4/45/135/86 e14 s0 m0"),
+        ("clock/multi/shared", 0x052f8ce609bca486, "c29/331/124/120/0/116/0/120/0/0 p29/331/124/116/116/0/116 qNone/None u0:4/29/151/58 u1:4/0/180/58 e14 s0 m0"),
+        ("clock/multi/strict", 0x4423f1102db4a189, "c103/257/172/120/0/164/0/120/0/0 p103/257/172/164/164/0/164 qSome(1)/Some(7) u0:1/52/128/85 u1:7/51/129/79 e14 s1 1:clock>lfu@0.238095/0.333333 m1 2:0>1x3(0/1)"),
+        ("clock/multi/soft", 0xb6a8baaa2c218e36, "c107/253/179/120/0/171/0/120/0/0 p107/253/179/171/171/0/171 qSome(7)/Some(1) u0:2/51/129/85 u1:6/56/124/86 e14 s1 1:clock>lfu@0.238095/0.333333 m6 2:0>1x3(0/1) 4:1>0x6(0/2) 10:0>1x6(1/2) 12:1>0x6(3/4) 13:0>1x6(0/3) 14:1>0x6(4/5)"),
+        ("exact-lru/static/shared", 0x052f8ce609bca486, "c29/331/124/120/0/116/0/120/0/0 p29/331/124/116/116/0/116 qNone/None u0:4/29/151/58 u1:4/0/180/58"),
+        ("exact-lru/static/strict", 0x735b2f12a9363169, "c57/303/124/120/0/116/0/120/0/0 p57/303/124/116/116/0/116 qSome(4)/Some(4) u0:4/29/151/58 u1:4/28/152/58"),
+        ("exact-lru/static/soft", 0x735b2f12a9363169, "c57/303/124/120/0/116/0/120/0/0 p57/303/124/116/116/0/116 qSome(4)/Some(4) u0:4/29/151/58 u1:4/28/152/58"),
+        ("exact-lru/single/shared", 0x052f8ce609bca486, "c29/331/124/120/0/116/0/120/0/0 p29/331/124/116/116/0/116 qNone/None u0:4/29/151/58 u1:4/0/180/58 e14 s0 m0"),
+        ("exact-lru/single/strict", 0x735b2f12a9363169, "c57/303/124/120/0/116/0/120/0/0 p57/303/124/116/116/0/116 qSome(4)/Some(4) u0:4/29/151/58 u1:4/28/152/58 e14 s0 m0"),
+        ("exact-lru/single/soft", 0x735b2f12a9363169, "c57/303/124/120/0/116/0/120/0/0 p57/303/124/116/116/0/116 qSome(4)/Some(4) u0:4/29/151/58 u1:4/28/152/58 e14 s0 m0"),
+        ("exact-lru/multi/shared", 0x052f8ce609bca486, "c29/331/124/120/0/116/0/120/0/0 p29/331/124/116/116/0/116 qNone/None u0:4/29/151/58 u1:4/0/180/58 e14 s0 m0"),
+        ("exact-lru/multi/strict", 0x4423f1102db4a189, "c103/257/172/120/0/164/0/120/0/0 p103/257/172/164/164/0/164 qSome(1)/Some(7) u0:1/52/128/85 u1:7/51/129/79 e14 s1 1:clock>lfu@0.238095/0.333333 m1 2:0>1x3(0/1)"),
+        ("exact-lru/multi/soft", 0xb6a8baaa2c218e36, "c107/253/179/120/0/171/0/120/0/0 p107/253/179/171/171/0/171 qSome(7)/Some(1) u0:2/51/129/85 u1:6/56/124/86 e14 s1 1:clock>lfu@0.238095/0.333333 m6 2:0>1x3(0/1) 4:1>0x6(0/2) 10:0>1x6(1/2) 12:1>0x6(3/4) 13:0>1x6(0/3) 14:1>0x6(4/5)"),
+        ("lfu/static/shared", 0xd7698c286a8a5d20, "c106/254/167/120/0/159/0/120/0/0 p106/254/167/159/159/0/159 qNone/None u0:4/54/126/80 u1:4/52/128/79"),
+        ("lfu/static/strict", 0x6a0f13a178fec100, "c109/251/166/120/0/158/0/120/0/0 p109/251/166/158/158/0/158 qSome(4)/Some(4) u0:4/55/125/79 u1:4/54/126/79"),
+        ("lfu/static/soft", 0x6a0f13a178fec100, "c109/251/166/120/0/158/0/120/0/0 p109/251/166/158/158/0/158 qSome(4)/Some(4) u0:4/55/125/79 u1:4/54/126/79"),
+        ("lfu/single/shared", 0xd7698c286a8a5d20, "c106/254/167/120/0/159/0/120/0/0 p106/254/167/159/159/0/159 qNone/None u0:4/54/126/80 u1:4/52/128/79 e14 s0 m0"),
+        ("lfu/single/strict", 0x6a0f13a178fec100, "c109/251/166/120/0/158/0/120/0/0 p109/251/166/158/158/0/158 qSome(4)/Some(4) u0:4/55/125/79 u1:4/54/126/79 e14 s0 m0"),
+        ("lfu/single/soft", 0x6a0f13a178fec100, "c109/251/166/120/0/158/0/120/0/0 p109/251/166/158/158/0/158 qSome(4)/Some(4) u0:4/55/125/79 u1:4/54/126/79 e14 s0 m0"),
+        ("lfu/multi/shared", 0x052f8ce609bca486, "c29/331/124/120/0/116/0/120/0/0 p29/331/124/116/116/0/116 qNone/None u0:4/29/151/58 u1:4/0/180/58 e14 s0 m0"),
+        ("lfu/multi/strict", 0x4423f1102db4a189, "c103/257/172/120/0/164/0/120/0/0 p103/257/172/164/164/0/164 qSome(1)/Some(7) u0:1/52/128/85 u1:7/51/129/79 e14 s1 1:clock>lfu@0.238095/0.333333 m1 2:0>1x3(0/1)"),
+        ("lfu/multi/soft", 0xb6a8baaa2c218e36, "c107/253/179/120/0/171/0/120/0/0 p107/253/179/171/171/0/171 qSome(7)/Some(1) u0:2/51/129/85 u1:6/56/124/86 e14 s1 1:clock>lfu@0.238095/0.333333 m6 2:0>1x3(0/1) 4:1>0x6(0/2) 10:0>1x6(1/2) 12:1>0x6(3/4) 13:0>1x6(0/3) 14:1>0x6(4/5)"),
+        ("2q/static/shared", 0x509c755da19e7bc5, "c113/247/124/120/0/116/0/120/0/0 p113/247/124/116/116/0/116 qNone/None u0:4/56/124/58 u1:4/57/123/58"),
+        ("2q/static/strict", 0x627e7c4e5a4fc715, "c113/247/124/120/0/116/0/120/0/0 p113/247/124/116/116/0/116 qSome(4)/Some(4) u0:4/56/124/58 u1:4/57/123/58"),
+        ("2q/static/soft", 0x627e7c4e5a4fc715, "c113/247/124/120/0/116/0/120/0/0 p113/247/124/116/116/0/116 qSome(4)/Some(4) u0:4/56/124/58 u1:4/57/123/58"),
+        ("2q/single/shared", 0x509c755da19e7bc5, "c113/247/124/120/0/116/0/120/0/0 p113/247/124/116/116/0/116 qNone/None u0:4/56/124/58 u1:4/57/123/58 e14 s0 m0"),
+        ("2q/single/strict", 0x627e7c4e5a4fc715, "c113/247/124/120/0/116/0/120/0/0 p113/247/124/116/116/0/116 qSome(4)/Some(4) u0:4/56/124/58 u1:4/57/123/58 e14 s0 m0"),
+        ("2q/single/soft", 0x627e7c4e5a4fc715, "c113/247/124/120/0/116/0/120/0/0 p113/247/124/116/116/0/116 qSome(4)/Some(4) u0:4/56/124/58 u1:4/57/123/58 e14 s0 m0"),
+        ("2q/multi/shared", 0x052f8ce609bca486, "c29/331/124/120/0/116/0/120/0/0 p29/331/124/116/116/0/116 qNone/None u0:4/29/151/58 u1:4/0/180/58 e14 s0 m0"),
+        ("2q/multi/strict", 0x4423f1102db4a189, "c103/257/172/120/0/164/0/120/0/0 p103/257/172/164/164/0/164 qSome(1)/Some(7) u0:1/52/128/85 u1:7/51/129/79 e14 s1 1:clock>lfu@0.238095/0.333333 m1 2:0>1x3(0/1)"),
+        ("2q/multi/soft", 0xb6a8baaa2c218e36, "c107/253/179/120/0/171/0/120/0/0 p107/253/179/171/171/0/171 qSome(7)/Some(1) u0:2/51/129/85 u1:6/56/124/86 e14 s1 1:clock>lfu@0.238095/0.333333 m6 2:0>1x3(0/1) 4:1>0x6(0/2) 10:0>1x6(1/2) 12:1>0x6(3/4) 13:0>1x6(0/3) 14:1>0x6(4/5)"),
+        ("arc/static/shared", 0xebcfa4303d2ca8de, "c31/329/128/120/0/120/0/120/0/0 p31/329/128/120/120/0/120 qNone/None u0:3/2/178/61 u1:5/29/151/59"),
+        ("arc/static/strict", 0x9230fcc14b468c6e, "c58/302/128/120/0/120/0/120/0/0 p58/302/128/120/120/0/120 qSome(4)/Some(4) u0:4/29/151/60 u1:4/29/151/60"),
+        ("arc/static/soft", 0x9230fcc14b468c6e, "c58/302/128/120/0/120/0/120/0/0 p58/302/128/120/120/0/120 qSome(4)/Some(4) u0:4/29/151/60 u1:4/29/151/60"),
+        ("arc/single/shared", 0xebcfa4303d2ca8de, "c31/329/128/120/0/120/0/120/0/0 p31/329/128/120/120/0/120 qNone/None u0:3/2/178/61 u1:5/29/151/59 e14 s0 m0"),
+        ("arc/single/strict", 0x9230fcc14b468c6e, "c58/302/128/120/0/120/0/120/0/0 p58/302/128/120/120/0/120 qSome(4)/Some(4) u0:4/29/151/60 u1:4/29/151/60 e14 s0 m0"),
+        ("arc/single/soft", 0x9230fcc14b468c6e, "c58/302/128/120/0/120/0/120/0/0 p58/302/128/120/120/0/120 qSome(4)/Some(4) u0:4/29/151/60 u1:4/29/151/60 e14 s0 m0"),
+        ("arc/multi/shared", 0x052f8ce609bca486, "c29/331/124/120/0/116/0/120/0/0 p29/331/124/116/116/0/116 qNone/None u0:4/29/151/58 u1:4/0/180/58 e14 s0 m0"),
+        ("arc/multi/strict", 0x4423f1102db4a189, "c103/257/172/120/0/164/0/120/0/0 p103/257/172/164/164/0/164 qSome(1)/Some(7) u0:1/52/128/85 u1:7/51/129/79 e14 s1 1:clock>lfu@0.238095/0.333333 m1 2:0>1x3(0/1)"),
+        ("arc/multi/soft", 0xb6a8baaa2c218e36, "c107/253/179/120/0/171/0/120/0/0 p107/253/179/171/171/0/171 qSome(7)/Some(1) u0:2/51/129/85 u1:6/56/124/86 e14 s1 1:clock>lfu@0.238095/0.333333 m6 2:0>1x3(0/1) 4:1>0x6(0/2) 10:0>1x6(1/2) 12:1>0x6(3/4) 13:0>1x6(0/3) 14:1>0x6(4/5)"),
+        ("sharing-aware/static/shared", 0xdbcb165602b4e963, "c110/250/193/120/0/185/0/120/0/0 p110/250/193/185/185/0/185 qNone/None u0:4/55/125/91 u1:4/55/125/94"),
+        ("sharing-aware/static/strict", 0xc3fd3ac270e0c098, "c105/255/192/120/0/184/0/120/0/0 p105/255/192/184/184/0/184 qSome(4)/Some(4) u0:4/54/126/93 u1:4/51/129/91"),
+        ("sharing-aware/static/soft", 0xc3fd3ac270e0c098, "c105/255/192/120/0/184/0/120/0/0 p105/255/192/184/184/0/184 qSome(4)/Some(4) u0:4/54/126/93 u1:4/51/129/91"),
+        ("sharing-aware/single/shared", 0xdbcb165602b4e963, "c110/250/193/120/0/185/0/120/0/0 p110/250/193/185/185/0/185 qNone/None u0:4/55/125/91 u1:4/55/125/94 e13 s0 m0"),
+        ("sharing-aware/single/strict", 0xc3fd3ac270e0c098, "c105/255/192/120/0/184/0/120/0/0 p105/255/192/184/184/0/184 qSome(4)/Some(4) u0:4/54/126/93 u1:4/51/129/91 e13 s0 m0"),
+        ("sharing-aware/single/soft", 0xc3fd3ac270e0c098, "c105/255/192/120/0/184/0/120/0/0 p105/255/192/184/184/0/184 qSome(4)/Some(4) u0:4/54/126/93 u1:4/51/129/91 e13 s0 m0"),
+        ("sharing-aware/multi/shared", 0x052f8ce609bca486, "c29/331/124/120/0/116/0/120/0/0 p29/331/124/116/116/0/116 qNone/None u0:4/29/151/58 u1:4/0/180/58 e14 s0 m0"),
+        ("sharing-aware/multi/strict", 0x4423f1102db4a189, "c103/257/172/120/0/164/0/120/0/0 p103/257/172/164/164/0/164 qSome(1)/Some(7) u0:1/52/128/85 u1:7/51/129/79 e14 s1 1:clock>lfu@0.238095/0.333333 m1 2:0>1x3(0/1)"),
+        ("sharing-aware/multi/soft", 0xb6a8baaa2c218e36, "c107/253/179/120/0/171/0/120/0/0 p107/253/179/171/171/0/171 qSome(7)/Some(1) u0:2/51/129/85 u1:6/56/124/86 e14 s1 1:clock>lfu@0.238095/0.333333 m6 2:0>1x3(0/1) 4:1>0x6(0/2) 10:0>1x6(1/2) 12:1>0x6(3/4) 13:0>1x6(0/3) 14:1>0x6(4/5)"),
+    ];
+
+    /// The N = 1 differential: the facade's epoch boundary, run as a merge
+    /// over one shard, must replay the golden trace exactly as the retired
+    /// in-shard epoch path did — every step's outcome and resident set,
+    /// the cache/policy/app ledgers, quotas, and the adaptive epoch,
+    /// switch and quota-move logs — across every policy, static and
+    /// adaptive ranking, and every partition mode.
+    #[test]
+    fn shards_one_matches_unsharded_reference() {
+        let grid = golden_grid();
+        assert_eq!(grid.len(), GOLDEN_N1.len());
+        for ((label, b), &(want_label, want_digest, want_state)) in grid.into_iter().zip(&GOLDEN_N1)
+        {
+            assert_eq!(label, want_label, "grid order changed");
+            let (digest, state) = golden_trace(&b.build());
+            assert_eq!(state, want_state, "{label}: final ledgers diverged");
+            assert_eq!(digest, want_digest, "{label}: per-step outcomes diverged");
         }
     }
 

@@ -7,10 +7,11 @@
 //! cluster rollup, drains every ring into one time-ordered trace, and
 //! renders both with per-node breakdown.
 //!
-//! Rollup semantics follow [`MetricsSnapshot::accumulate`]: counters
-//! and histograms **sum** across nodes; gauges are levels, so the
-//! rollup keeps the last node's value — read gauge levels from the
-//! per-node breakdown, not the rollup.
+//! Rollup semantics: counters and histograms **sum** across nodes.
+//! Gauges are per-node levels with no defined cluster aggregate, so a
+//! per-node rollup carries none — gauge levels live only in the per-node
+//! breakdown (`nodes[]` in [`ClusterObs::metrics_json`]). A shared hub's
+//! rollup is that hub's own snapshot, gauges included.
 //!
 //! The old single-shared-hub wiring is still supported via
 //! [`ClusterObs::shared`], which federates trivially (one entry); the
@@ -68,12 +69,15 @@ impl ClusterObs {
         self.nodes.iter().map(|(n, h)| (n.as_str(), h))
     }
 
-    /// Cluster rollup: counters/histograms summed across nodes, gauges
-    /// last-write (see module docs).
+    /// Cluster rollup: counters/histograms summed across nodes; gauges
+    /// only from a shared hub (see module docs).
     pub fn rollup(&self) -> MetricsSnapshot {
         let mut acc = MetricsSnapshot::default();
         for (_, hub) in &self.nodes {
             acc.accumulate(&hub.snapshot());
+        }
+        if !self.shared {
+            acc.gauges.clear();
         }
         acc
     }
@@ -179,6 +183,26 @@ mod tests {
         let json = cluster.metrics_json();
         assert!(json.contains("\"cluster\""));
         assert!(json.contains("\"node1\""));
+    }
+
+    #[test]
+    fn per_node_rollup_reports_no_gauges() {
+        let cluster = ClusterObs::per_node(2, 64);
+        cluster.hub_for(0).registry().gauge("app.0.hits").set(80);
+        cluster.hub_for(1).registry().gauge("app.0.hits").set(52);
+        let roll = cluster.rollup();
+        assert!(roll.gauges.is_empty(), "one node's level is no cluster value: {:?}", roll.gauges);
+        let nodes = cluster.per_node_snapshots();
+        assert_eq!(nodes[0].1.gauges["app.0.hits"], 80);
+        assert_eq!(nodes[1].1.gauges["app.0.hits"], 52);
+        let json = cluster.metrics_json();
+        let (rollup_json, nodes_json) = json.split_once("\"nodes\"").unwrap();
+        assert!(rollup_json.contains("\"gauges\":{}"), "{json}");
+        assert!(nodes_json.contains("\"app.0.hits\":52"), "{json}");
+        // A shared hub is one plane: its rollup keeps its own gauges.
+        let hub = ObsHub::new(64);
+        hub.registry().gauge("level").set(7);
+        assert_eq!(ClusterObs::shared(hub).rollup().gauges["level"], 7);
     }
 
     #[test]
